@@ -63,7 +63,7 @@ let apply_with_faults ctrl log schedule =
           | F.Task_exn ->
               Engine.Counters.note_fault (C.counters ctrl);
               ignore
-                (Simnet.Engine_driver.supervised_replan
+                (Engine.Supervisor.supervised_replan
                    ~inject:(fun ~attempt ->
                      if attempt = 0 then F.raise_in_pool ())
                    ctrl)

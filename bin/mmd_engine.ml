@@ -9,12 +9,35 @@
    around corruption (quarantining bad records) and, when resuming
    from a snapshot, skip the records the snapshot already covers.
 
-   --batch N applies deltas through Controller.apply_batch, N at a
-   time. Batches never cross a boundary where a one-at-a-time run
-   takes an action (a periodic snapshot or checkpoint, a simulated
-   crash or primary kill, a rebalance epoch), so every artifact and
-   every replan lands at exactly the same applied-delta position
-   whatever the batch size — plans are bit-identical across N.
+   Three single-process modes share one pipeline — one log loader, one
+   replay loop, one end-of-run report — over one engine signature
+   (Engine.S): a plain controller, a replica group (--replicas) or a
+   shard router (--shards). Only how each engine is built or recovered
+   and its own summary lines differ. The flags each mode honours:
+
+     every mode     --deltas --gen-deltas --seed --deltas-out --epoch
+                    --batch --skip-final-replan --compare --certify
+                    --domains --trace-out --metrics-out --stats
+     single engine  --wal-out FILE --wal-dir --checkpoint-every
+                    --snapshot-in --snapshot-out --snapshot-every
+                    --plan-out --crash-after
+     --replicas     --wal-out FILE --heartbeat-every --kill-primary-at
+                    --hand-over-at --replica-transport --snapshot-out
+                    --snapshot-every --plan-out --crash-after
+     --shards       --wal-out DIR --shard-tags --split --rebalance-every
+                    --rebalance-k --replicas --heartbeat-every
+
+   Any other flag is rejected before the run starts, with an error
+   naming the flag and the mode. The multi-process replica modes
+   (--replica-listen / --replica-connect / --replica-supervise) have
+   their own loops.
+
+   --batch N applies deltas through the engine's apply_batch, N at a
+   time. Batches never cross a boundary event (a periodic snapshot or
+   checkpoint, a simulated crash, a primary kill or hand-over, a
+   rebalance epoch), so every artifact and every replan lands at
+   exactly the same applied-delta position whatever the batch size —
+   plans are bit-identical across N.
 
    --wal-dir DIR replaces the monolithic --wal-out with a segmented
    store plus a checkpoint chain (DIR/chain.ckpt). Checkpoints are
@@ -44,40 +67,6 @@ let read_all path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Everything the operator needs to resume is printed even when the
-   run dies mid-log: the last applied record, the epoch phase, and the
-   full counter report. *)
-let print_partial_state ctrl ~applied ~last_seq =
-  Format.printf "last applied: %d deltas this run (log seq %d)@." applied
-    last_seq;
-  Format.printf "lifetime deltas: %d, epoch phase: %d since last replan@."
-    (C.deltas_applied ctrl) (C.since_replan ctrl);
-  Format.printf "%a@." Engine.Counters.pp_report (C.report ctrl)
-
-(* Feed [records] to [f] in chunks of at most [batch], never letting a
-   chunk cross a boundary where the per-record loop would take an
-   action: [boundary ~applied] returns how many records may still be
-   taken when [applied] records have been consumed so far (max_int
-   when unconstrained). With batch = 1 this degenerates to the
-   per-record loop exactly. *)
-let iter_batches ~batch ~boundary records f =
-  let rec take k acc rest =
-    if k = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | [] -> (List.rev acc, [])
-      | r :: tl -> take (k - 1) (r :: acc) tl
-  in
-  let rec go applied = function
-    | [] -> ()
-    | records ->
-        let n = max 1 (min batch (boundary ~applied)) in
-        let chunk, rest = take n [] records in
-        f chunk;
-        go (applied + List.length chunk) rest
-  in
-  go 0 records
 
 (* ---------- Multi-process replica modes ---------- *)
 
@@ -286,31 +275,642 @@ let supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
     exit 5
   end
 
-(* Sharded mode: FILE must be an instance; every delta is routed
-   through a Shard.Router over N full engine stacks. --wal-out names a
-   DIRECTORY holding shard-<i>.wal (each replays standalone into a
-   controller over that shard's initial sub-world). *)
-let sharded_run ~file ~deltas_in ~gen_deltas ~seed ~deltas_out ~epoch
-    ~skip_final ~compare_scratch ~wal_out ~metrics_out ~stats ~shards
-    ~shard_tags ~split ~rebalance_every ~rebalance_k ~replicas
-    ~heartbeat_every ~batch ~certify =
-  let policy =
-    match C.policy_of_string epoch with
-    | Ok p -> p
-    | Error msg -> failwith msg
+(* ---------- Flag validation ---------- *)
+
+type mode = Single | Replicated | Sharded | Follower | Proc_primary | Supervisor
+
+let mode_name = function
+  | Single -> "single-engine mode"
+  | Replicated -> "replicated mode (--replicas)"
+  | Sharded -> "sharded mode (--shards)"
+  | Follower -> "replica-follower mode (--replica-listen)"
+  | Proc_primary -> "replica-primary mode (--replica-connect)"
+  | Supervisor -> "replica-supervisor mode (--replica-supervise)"
+
+(* The one check before dispatch: every flag given on the command line
+   is honoured by the chosen mode or rejected, naming the flag and the
+   mode. [flags] lists each flag, whether it was given (a flag with a
+   default counts as given when it differs from it) and the modes that
+   honour it; [needs] lists flags that only mean something next to
+   another one. *)
+let check_flags mode ~flags ~needs =
+  let reject fmt = Printf.ksprintf failwith fmt in
+  List.iter
+    (fun (flag, given, modes) ->
+      if given && not (List.mem mode modes) then
+        reject "%s is not supported in %s" flag (mode_name mode))
+    flags;
+  List.iter
+    (fun (flag, given, other, present) ->
+      if given && not present then
+        reject "%s needs %s in %s" flag other (mode_name mode))
+    needs
+
+(* ---------- The log loader ---------- *)
+
+(* The replay stream as (seq, delta) pairs. Plain logs are numbered
+   from [already] (the restored lifetime delta count) — continuation
+   semantics for a snapshot-resumed run fed new deltas. Under --wal-dir
+   the input log is the same log the crashed run consumed from seq 1,
+   so [plain_from_start] numbers it from 1 and the recovered prefix is
+   skipped like a WAL's. WAL records carry their own authoritative
+   sequence numbers and records a snapshot already covers are skipped.
+   [note] receives the quarantined count for the counters of whichever
+   controller ends up replaying. Generated churn is drawn against
+   [view], the engine's whole population. *)
+let load_records ~deltas_in ~gen_deltas ~seed ~deltas_out ~plain_from_start
+    ~already ~view ~note =
+  let number ~from log = List.mapi (fun i d -> (from + i + 1, d)) log in
+  let skip what records =
+    let fresh, skipped =
+      List.partition (fun (seq, _) -> seq > already) records
+    in
+    if skipped <> [] then
+      Format.printf "resume: skipping %d record(s) already %s (up to seq %d)@."
+        (List.length skipped) what already;
+    fresh
   in
+  match (deltas_in, gen_deltas) with
+  | Some path, _ -> (
+      let text = read_all path in
+      if not (Engine.Wal.is_wal text) then
+        let log = Engine.Delta.log_of_string text in
+        if plain_from_start then skip "recovered" (number ~from:0 log)
+        else number ~from:already log
+      else
+        match Engine.Wal.recover_string text with
+        | Error msg -> failwith msg
+        | Ok r ->
+            let n = List.length r.Engine.Wal.quarantined in
+            if n > 0 then begin
+              note n;
+              Format.printf "WAL recovery: quarantined %d record(s)%s@." n
+                (if r.Engine.Wal.torn_tail then " (including a torn tail)"
+                 else "");
+              List.iteri
+                (fun i (q : Engine.Wal.quarantined) ->
+                  if i < 10 then
+                    Format.printf "  line %d: %s@." q.Engine.Wal.line
+                      q.Engine.Wal.reason)
+                r.Engine.Wal.quarantined;
+              if n > 10 then Format.printf "  ... and %d more@." (n - 10)
+            end;
+            skip "covered by the snapshot" r.Engine.Wal.records)
+  | None, Some n ->
+      let rng = Prelude.Rng.create seed in
+      let log =
+        Engine.Churn.generate ~rng view { Engine.Churn.default with deltas = n }
+      in
+      Option.iter
+        (fun path ->
+          Engine.Delta.write_log path log;
+          Format.printf "wrote %d deltas to %s@." n path)
+        deltas_out;
+      number ~from:already log
+  | None, None -> []
+
+(* ---------- The replay loop ---------- *)
+
+(* A boundary event: [At (n, f)] fires once, before any record past the
+   [n]-th is applied, and is handed the next record's seq; [Every (k,
+   f)] fires after every [k]-th applied record. *)
+type event = At of int * (int -> unit) | Every of int * (unit -> unit)
+
+(* Feed [records] to [f] in chunks of at most [batch], firing [events]
+   at their positions. A chunk never crosses an event, so every event —
+   a crash, a kill, a snapshot, a checkpoint, a rebalance — lands at
+   exactly the applied-delta position of the one-record-at-a-time loop,
+   and so does every replan the engine's epoch policy fires: plans are
+   bit-identical at every batch size. *)
+let iter_batches ~batch ~events records f =
+  let room applied =
+    List.fold_left
+      (fun room -> function
+        | At (n, _) when n > applied -> min room (n - applied)
+        | At _ -> room
+        | Every (k, _) -> min room (k - (applied mod k)))
+      batch events
+  in
+  let rec take k acc rest =
+    match rest with
+    | r :: tl when k > 0 -> take (k - 1) (r :: acc) tl
+    | _ -> (List.rev acc, rest)
+  in
+  let rec go applied = function
+    | [] -> ()
+    | (next, _) :: _ as records ->
+        List.iter
+          (function At (n, fire) when n = applied -> fire next | _ -> ())
+          events;
+        let chunk, rest = take (room applied) [] records in
+        f chunk;
+        let applied = applied + List.length chunk in
+        List.iter
+          (function Every (k, fire) when applied mod k = 0 -> fire () | _ -> ())
+          events;
+        go applied rest
+  in
+  go 0 records
+
+(* What a mode wraps around its engine: its own boundary events, the
+   serving controller when there is exactly one (snapshots, plan
+   output and the scratch comparison read it), and its own summary
+   lines. *)
+type replay_mode = {
+  engine : Engine.S.t;
+  primary : (unit -> C.t) option;
+  events : event list;
+  finish : applied:int -> elapsed:float -> unit;
+      (** end-of-run actions and summary lines, after the final replan *)
+  compare : unit -> unit;  (** the --compare line *)
+}
+
+let print_applied ~applied ~elapsed =
+  Format.printf "applied %d deltas in %.3fs wall (%.0f deltas/s)@." applied
+    elapsed
+    (if elapsed > 0. then float applied /. elapsed else 0.)
+
+let print_plan ctrl =
+  Format.printf "plan: %d streams transmitted, utility %.6g%s@."
+    (List.length (Engine.Planner.admitted (C.planner ctrl)))
+    (C.utility ctrl)
+    (if C.degraded ctrl then " [degraded]" else "")
+
+let compare_scratch ctrl =
+  let scratch_util, scratch_evals = C.scratch (C.view ctrl) in
+  let gap =
+    if scratch_util > 0. then 100. *. (1. -. (C.utility ctrl /. scratch_util))
+    else 0.
+  in
+  Format.printf
+    "from-scratch eager solve: utility %.6g (engine gap %.2f%%), %d evals \
+     for one solve@."
+    scratch_util gap scratch_evals
+
+(* The CLI certifies a controller with the dense LP where it fits (the
+   Lagrangian path beyond), which the solver-free engine library cannot
+   reach. The checker's verdict is what gets reported — the emitters
+   only propose. *)
+let certify_dense ctrl =
+  let inst = Engine.View.materialize (C.view ctrl) in
+  let achieved = C.utility ctrl in
+  match Exact.Certificate.emit ~target:achieved inst with
+  | Error msg -> Error (Printf.sprintf "none (%s)" msg)
+  | Ok (cert, method_) -> (
+      match Exact.Certificate.check inst cert with
+      | Cert.Checker.Rejected msg ->
+          Error (Printf.sprintf "REJECTED by checker (%s)" msg)
+      | Cert.Checker.Certified { bound; repaired } ->
+          let ratio = Engine.Certify.ratio_of ~achieved ~bound in
+          Engine.Counters.note_certificate (C.counters ctrl) ~ratio;
+          Ok
+            ( { Engine.Certify.bound;
+                achieved;
+                ratio;
+                repaired;
+                iterations = 0 },
+              Exact.Certificate.string_of_method method_ ))
+
+(* A mode served by one controller at a time certifies with the dense
+   LP, ends its summary with the plan line and compares against a
+   from-scratch solve, all on the controller serving at that point. *)
+let controller_mode (e : Engine.S.t) ~primary ~events ~summary =
+  { engine = { e with certify = (fun () -> certify_dense (primary ())) };
+    primary = Some primary;
+    events;
+    finish =
+      (fun ~applied ~elapsed ->
+        summary ~applied ~elapsed;
+        print_plan (primary ()));
+    compare = (fun () -> compare_scratch (primary ())) }
+
+(* Load the log, replay it through the mode's engine, and report. Only
+   the mode's construction, its events and its summary lines differ
+   between a single controller, a replica group and a shard router. *)
+let replay ~load ~batch ~crash_after ~skip_final ~compare ~certify ~plan_out
+    ~snapshot_out ~snapshot_every ~stats ~metrics_out ~trace_out m =
+  let e = m.engine in
+  let already =
+    match m.primary with Some p -> C.deltas_applied (p ()) | None -> 0
+  in
+  let records =
+    load ~already ~view:(e.view ()) ~note:(fun n ->
+        Option.iter
+          (fun p -> Engine.Counters.note_quarantined ~n (C.counters (p ())))
+          m.primary)
+  in
+  let crash =
+    (* Simulated crash: no final replan, no snapshot, no cleanup — the
+       recovery path has to cope. Every batch ends with its log
+       flushed, so every applied delta survives the exit (see EXIT
+       STATUS: 3); a checkpoint chain is deliberately NOT advanced,
+       leaving a tail for recovery. *)
+    Option.map
+      (fun n ->
+        At
+          ( n,
+            fun next ->
+              Format.printf
+                "simulated crash at delta boundary %d (next seq %d)@." n next;
+              Format.print_flush ();
+              exit 3 ))
+      crash_after
+  in
+  let snapshots =
+    match (snapshot_every, snapshot_out, m.primary) with
+    | Some every, Some path, Some p ->
+        [ Every (every, fun () -> Engine.Snapshot.write_file path (p ())) ]
+    | _ -> []
+  in
+  let applied = ref 0 and last_seq = ref already in
+  let t0 = Obs.Clock.now () in
+  (try
+     iter_batches ~batch
+       ~events:(Option.to_list crash @ m.events @ snapshots)
+       records
+       (fun chunk ->
+         e.apply_batch (List.map snd chunk);
+         List.iter
+           (fun (seq, _) ->
+             incr applied;
+             last_seq := seq)
+           chunk)
+   with Failure msg | Invalid_argument msg ->
+     (* Partial output before dying: the operator can resume from the
+        printed seq with a corrected log. *)
+     Format.printf "aborted mid-log: %s@." msg;
+     Format.printf "last applied: %d deltas this run (log seq %d)@." !applied
+       !last_seq;
+     Option.iter
+       (fun p ->
+         Format.printf
+           "lifetime deltas: %d, epoch phase: %d since last replan@."
+           (C.deltas_applied (p ()))
+           (C.since_replan (p ())))
+       m.primary;
+     Format.printf "%a@." Engine.Counters.pp_report (e.report ());
+     Format.print_flush ();
+     failwith
+       (Printf.sprintf "replay aborted after %d deltas (log seq %d): %s"
+          !applied !last_seq msg));
+  if not skip_final then e.replan ();
+  m.finish ~applied:!applied ~elapsed:(Obs.Clock.elapsed_since t0);
+  (if certify then
+     match e.certify () with
+     | Error verdict -> Format.printf "certificate: %s@." verdict
+     | Ok (o, how) ->
+         Format.printf
+           "certificate: bound %.6g, achieved %.6g, ratio %.4f (%s%s)@."
+           o.Engine.Certify.bound o.Engine.Certify.achieved
+           o.Engine.Certify.ratio how
+           (if o.Engine.Certify.repaired then ", repaired" else ""));
+  Format.printf "%a@." Engine.Counters.pp_report (e.report ());
+  if compare then m.compare ();
+  (match (m.primary, plan_out) with
+  | Some p, Some path ->
+      Mmd.Io.write_assignment path (C.plan (p ()));
+      Format.printf "plan -> %s@." path
+  | _ -> ());
+  (match (m.primary, snapshot_out) with
+  | Some p, Some path ->
+      Engine.Snapshot.write_file path (p ());
+      Format.printf "snapshot -> %s@." path
+  | _ -> ());
+  e.close ();
+  if stats then Format.printf "%s@." (Obs.Export.stats_table ());
+  Option.iter
+    (fun path ->
+      Obs.Export.write_prometheus path;
+      Format.printf "metrics -> %s@." path)
+    metrics_out;
+  Option.iter
+    (fun path ->
+      Obs.Trace.close ();
+      Format.printf "trace -> %s (%d spans)@." path
+        (Obs.Trace.spans_emitted ()))
+    trace_out
+
+(* ---------- Mode construction ---------- *)
+
+(* --wal-out FILE continues the sequence from what the log already
+   holds, so crash + resume keeps one coherent WAL. *)
+let open_wal_out path =
+  let next_seq =
+    if Sys.file_exists path then
+      match Engine.Wal.recover_file path with
+      | Ok r -> r.Engine.Wal.last_seq + 1
+      | Error _ -> 1
+    else 1
+  in
+  Engine.Wal.append_file ~next_seq path
+
+let restore_snapshot ~path ~text =
+  match Engine.Snapshot.load_result text with
+  | Ok ctrl ->
+      Format.printf "restored snapshot: %d slots active, utility %.6g@."
+        (Engine.View.active_count (C.view ctrl))
+        (C.utility ctrl);
+      ctrl
+  | Error msg -> (
+      (* The on-disk fallback generation may still be good. *)
+      match Engine.Snapshot.read_file_result path with
+      | Ok (ctrl, Engine.Snapshot.Previous) ->
+          Format.printf
+            "snapshot damaged (%s); fell back to previous generation: %d \
+             slots active, utility %.6g@."
+            msg
+            (Engine.View.active_count (C.view ctrl))
+            (C.utility ctrl);
+          ctrl
+      | Ok (ctrl, Engine.Snapshot.Current) -> ctrl
+      | Error msg -> failwith msg)
+
+(* Restore the state the recovery chooser picked and note the choice;
+   returns the controller and the highest seq it covers. *)
+let restore ~policy ~inst ~snapshot_in ~chain choice =
+  let ctrl, covered =
+    match choice with
+    | Engine.Recovery.Chain_tail -> (
+        match
+          Engine.Checkpoint.recover ~instance:(inst ()) ~path:(Option.get chain)
+        with
+        | Ok rc ->
+            if rc.Engine.Checkpoint.torn then
+              Format.printf "checkpoint chain: dropped a torn tail increment@.";
+            Format.printf
+              "restored checkpoint chain: %d increment(s) covering seq %d@."
+              rc.Engine.Checkpoint.increments rc.Engine.Checkpoint.covered;
+            (rc.Engine.Checkpoint.ctrl, rc.Engine.Checkpoint.covered)
+        | Error msg -> failwith ("checkpoint chain recovery failed: " ^ msg))
+    | Engine.Recovery.Snapshot_tail ->
+        let snap = Option.get snapshot_in in
+        let ctrl = restore_snapshot ~path:snap ~text:(read_all snap) in
+        (ctrl, C.deltas_applied ctrl)
+    | Engine.Recovery.Full_replay -> (C.create ~policy (inst ()), 0)
+  in
+  Engine.Recovery.note (C.counters ctrl) choice;
+  (ctrl, covered)
+
+(* Single engine: a controller from the instance, a snapshot, or —
+   under --wal-dir — the cheapest of checkpoint chain + store tail,
+   snapshot + tail and a full replay of the store. The uncovered store
+   tail is replayed before any new input record is loaded, so churn
+   generation sees the recovered world. The engine logs first and
+   applies second: a crash between the two re-applies on recovery
+   instead of losing an applied record. *)
+let single_mode ~policy ~file ~text ~snapshot_in ~deltas_in ~wal_out ~wal_dir
+    ~checkpoint_every =
+  let inst () = Mmd.Io.of_string text in
+  let restore = restore ~policy ~inst ~snapshot_in in
+  let ctrl, store_ctx =
+    match wal_dir with
+    | None when Engine.Snapshot.is_snapshot text ->
+        (restore_snapshot ~path:file ~text, None)
+    | None when snapshot_in = None -> (C.create ~policy (inst ()), None)
+    | None ->
+        (* Estimate snapshot+tail against a full replay of the input
+           log, counted before building any controller. *)
+        let total_records =
+          match deltas_in with
+          | Some path -> (
+              let dtext = read_all path in
+              if Engine.Wal.is_wal dtext then
+                match Engine.Wal.recover_string dtext with
+                | Ok r -> List.length r.Engine.Wal.records
+                | Error _ -> 0
+              else List.length (Engine.Delta.log_of_string dtext))
+          | None -> 0
+        in
+        let est =
+          Engine.Recovery.assess ~snapshot_path:(Option.get snapshot_in)
+            ~total_records ()
+        in
+        Format.printf
+          "recovery: taking %s (estimated snapshot+tail %.4gs vs full replay \
+           %.4gs)@."
+          (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
+          est.Engine.Recovery.snapshot_seconds
+          est.Engine.Recovery.replay_seconds;
+        (fst (restore ~chain:None est.Engine.Recovery.choice), None)
+    | Some dir ->
+        let chain = Filename.concat dir "chain.ckpt" in
+        let ctrl, tail =
+          match
+            if Sys.file_exists dir then Engine.Wal_store.recover_dir dir
+            else Error "no store"
+          with
+          | Error _ -> (C.create ~policy (inst ()), []) (* a fresh store *)
+          | Ok r ->
+              let total_records = r.Engine.Wal_store.last_seq in
+              let est =
+                Engine.Recovery.assess ~chain_path:chain
+                  ~snapshot_path:
+                    (Option.value snapshot_in
+                       ~default:(Filename.concat dir ".no-snapshot"))
+                  ~total_records ()
+              in
+              let est =
+                (* A compacted store cannot serve a full replay — the
+                   records below first_seq are gone — so the chain must
+                   cover the gap. *)
+                if r.Engine.Wal_store.first_seq > 1 then
+                  match Engine.Checkpoint.peek chain with
+                  | Some (_, covered, _)
+                    when covered >= r.Engine.Wal_store.first_seq - 1 ->
+                      { est with
+                        Engine.Recovery.choice = Engine.Recovery.Chain_tail }
+                  | _ ->
+                      failwith
+                        (Printf.sprintf
+                           "store %s is compacted below seq %d but the \
+                            checkpoint chain does not cover the gap"
+                           dir r.Engine.Wal_store.first_seq)
+                else est
+              in
+              Format.printf
+                "recovery: taking %s (chain+tail %.4gs vs snapshot+tail %.4gs \
+                 vs full replay %.4gs; %d record(s) on disk)@."
+                (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
+                est.Engine.Recovery.chain_seconds
+                est.Engine.Recovery.snapshot_seconds
+                est.Engine.Recovery.replay_seconds total_records;
+              let ctrl, covered =
+                restore ~chain:(Some chain) est.Engine.Recovery.choice
+              in
+              let n = List.length r.Engine.Wal_store.quarantined in
+              if n > 0 then begin
+                Engine.Counters.note_quarantined ~n (C.counters ctrl);
+                Format.printf "segment store: quarantined %d record(s)%s@." n
+                  (if r.Engine.Wal_store.torn_tail then
+                     " (including a torn tail)"
+                   else "")
+              end;
+              ( ctrl,
+                List.filter
+                  (fun (seq, _) -> seq > covered)
+                  r.Engine.Wal_store.records )
+        in
+        let store = Engine.Wal_store.open_dir dir in
+        let w = Engine.Checkpoint.create_writer ~path:chain ctrl in
+        if tail <> [] then begin
+          let t0 = Obs.Clock.now () in
+          C.apply_batch ~on_applied:(Engine.Checkpoint.note w) ctrl
+            (List.map snd tail);
+          Format.printf "replayed %d tail record(s) in %.4fs@."
+            (List.length tail)
+            (Obs.Clock.elapsed_since t0)
+        end;
+        (ctrl, Some (store, w))
+  in
+  let wal_writer = Option.map open_wal_out wal_out in
+  let e = Engine.S.of_controller ctrl in
+  let on_applied =
+    Option.map (fun (_, w) -> Engine.Checkpoint.note w) store_ctx
+  in
+  (* One OS flush per batch; bytes on disk are identical to per-record
+     appends. *)
+  let log deltas =
+    Option.iter
+      (fun (store, _) -> Engine.Wal_store.append_batch store deltas)
+      store_ctx;
+    Option.iter
+      (fun w ->
+        List.iter
+          (fun d -> ignore (Engine.Wal.append_tee ~flush:false w d))
+          deltas;
+        Engine.Wal.flush_writer w)
+      wal_writer
+  in
+  let checkpoint (store, w) =
+    Engine.Checkpoint.checkpoint w ctrl;
+    Engine.Wal_store.compact store ~covered:(Engine.Checkpoint.covered w)
+  in
+  controller_mode
+    { e with
+      apply_batch =
+        (fun deltas ->
+          log deltas;
+          C.apply_batch ?on_applied ctrl deltas);
+      close =
+        (fun () ->
+          Option.iter Engine.Wal.close wal_writer;
+          Option.iter
+            (fun (store, w) ->
+              Engine.Checkpoint.close_writer w;
+              Engine.Wal_store.close store)
+            store_ctx) }
+    ~primary:(fun () -> ctrl)
+    ~events:
+      (Option.to_list
+         (Option.map
+            (fun ctx ->
+              Every (checkpoint_every, fun () -> ignore (checkpoint ctx)))
+            store_ctx))
+    ~summary:(fun ~applied ~elapsed ->
+      Option.iter
+        (fun ((store, w) as ctx) ->
+          (* Final increment captures the post-replan plan, so a clean
+             resume has a zero-record tail; compaction then retires
+             every sealed segment. *)
+          let deleted = checkpoint ctx in
+          Format.printf
+            "checkpoint chain: %d increment(s), covers seq %d; store: %d \
+             segment(s) on disk%s@."
+            (Engine.Checkpoint.increments w)
+            (Engine.Checkpoint.covered w)
+            (List.length
+               (Engine.Wal_store.segments (Engine.Wal_store.dir store)))
+            (if deleted > 0 then Printf.sprintf " (%d compacted away)" deleted
+             else ""))
+        store_ctx;
+      print_applied ~applied ~elapsed)
+
+(* Replicated: the primary applies and WAL-ships every delta to the
+   followers; --kill-primary-at exercises heartbeat detection and
+   promotion mid-log, --hand-over-at a planned lease hand-over. *)
+let replicated_mode ~policy ~replicas ~heartbeat_every ~transport ~wal_out
+    ~kill_primary_at ~hand_over_at inst =
+  let config = Replica.Group.config_of_heartbeat heartbeat_every in
+  let mk_link =
+    match transport with
+    | "queue" -> fun _ -> Replica.Transport.queue_link ()
+    | "socket" -> fun _ -> Replica.Transport_socket.loopback ()
+    | other -> failwith (Printf.sprintf "unknown replica transport %S" other)
+  in
+  let wal_writer = Option.map open_wal_out wal_out in
+  let g =
+    Replica.Group.create ~policy ~config ~mk_link ?wal:wal_writer ~replicas inst
+  in
+  let e = Replica.Chaos.engine g in
+  let primary () = Replica.Group.primary g in
+  let kill n =
+    At
+      ( n,
+        fun _ ->
+          if Replica.Group.primary_alive g then begin
+            Format.printf "killing primary (replica %d) at delta boundary %d@."
+              (Replica.Group.primary_id g)
+              n;
+            Replica.Group.kill_primary g
+          end )
+  in
+  let hand_over n =
+    At
+      ( n,
+        fun _ ->
+          match Replica.Group.hand_over g with
+          | Ok id ->
+              Format.printf
+                "hand-over at boundary %d: new primary replica %d, lost 0 \
+                 deltas@."
+                n id
+          | Error msg ->
+              Format.printf "hand-over at boundary %d refused: %s@." n msg )
+  in
+  controller_mode
+    { e with
+      close =
+        (fun () ->
+          e.close ();
+          Option.iter Engine.Wal.close wal_writer) }
+    ~primary
+    ~events:
+      (Option.to_list (Option.map kill kill_primary_at)
+      @ Option.to_list (Option.map hand_over hand_over_at))
+    ~summary:(fun ~applied ~elapsed ->
+      let converged = Replica.Group.quiesce g in
+      print_applied ~applied ~elapsed;
+      Format.printf
+        "replication: %d follower(s), term %d, %d failover(s), primary \
+         replica %d%s@."
+        (Replica.Group.replicas g) (Replica.Group.term g)
+        (Replica.Group.failovers g)
+        (Replica.Group.primary_id g)
+        (if converged then "" else " [followers NOT converged]");
+      if Replica.Group.failovers g > 0 then
+        Format.printf "time to promote: %.6fs@."
+          (Replica.Group.last_promote_seconds g);
+      if Replica.Group.handovers g > 0 then
+        Format.printf "planned hand-overs: %d@." (Replica.Group.handovers g);
+      List.iter
+        (fun id ->
+          Format.printf "follower %d: acked seq %d (lag %d)@." id
+            (Option.value ~default:0 (Replica.Group.acked g id))
+            (Option.value ~default:0 (Replica.Group.lag g id)))
+        (Replica.Group.live_followers g))
+
+(* Sharded: every delta is routed through a Shard.Router over N full
+   engine stacks. --wal-out names a DIRECTORY holding shard-<i>.wal
+   (each replays standalone into a controller over that shard's
+   initial sub-world). *)
+let sharded_mode ~policy ~seed ~shards ~shard_tags ~split ~wal_out ~replicas
+    ~heartbeat_every ~rebalance_every ~rebalance_k inst =
   let split =
     match split with
     | "even" -> Shard.Router.Even
     | "demand" -> Shard.Router.Demand
     | other -> failwith (Printf.sprintf "unknown budget split %S" other)
   in
-  let text = read_all file in
-  if Engine.Snapshot.is_snapshot text then
-    failwith
-      "sharded mode starts from an instance; recovery goes through the \
-       per-shard WALs, not a snapshot";
-  let inst = Mmd.Io.of_string text in
   let tags =
     match shard_tags with
     | Some spec ->
@@ -327,286 +927,51 @@ let sharded_run ~file ~deltas_in ~gen_deltas ~seed ~deltas_out ~epoch
     Shard.Router.create ~policy ~split ?wal_dir:wal_out ?replicas
       ?heartbeat_every ~map inst
   in
-  let log =
-    match (deltas_in, gen_deltas) with
-    | Some path, _ ->
-        let text = read_all path in
-        if Engine.Wal.is_wal text then begin
-          match Engine.Wal.recover_string text with
-          | Error msg -> failwith msg
-          | Ok r ->
-              if r.Engine.Wal.quarantined <> [] then
-                Format.printf "WAL recovery: quarantined %d record(s)@."
-                  (List.length r.Engine.Wal.quarantined);
-              List.map snd r.Engine.Wal.records
-        end
-        else Engine.Delta.log_of_string text
-    | None, Some n ->
-        let rng = Prelude.Rng.create seed in
-        let log =
-          Engine.Churn.generate ~rng
-            (Engine.View.of_instance inst)
-            { Engine.Churn.default with deltas = n }
+  let moves = ref 0 in
+  let rebalance () =
+    moves := !moves + Shard.Router.rebalance router ~k:rebalance_k;
+    if split = Shard.Router.Demand then Shard.Router.resplit_budgets router
+  in
+  { engine = Shard.Router.engine router;
+    primary = None;
+    events =
+      Option.to_list
+        (Option.map (fun every -> Every (every, rebalance)) rebalance_every);
+    finish =
+      (fun ~applied ~elapsed ->
+        Format.printf
+          "applied %d deltas across %d shards in %.3fs wall (%.0f deltas/s \
+           aggregate)@."
+          applied shards elapsed
+          (if elapsed > 0. then float applied /. elapsed else 0.);
+        Format.printf "shard populations:";
+        Array.iteri
+          (fun i c ->
+            Format.printf " %d:%d[%s]" i c (Shard.Shard_map.tag map i))
+          (Shard.Router.counts router);
+        Format.printf "@.";
+        if !moves > 0 then Format.printf "rebalance moves: %d@." !moves;
+        if Shard.Router.replicated router then begin
+          let converged = Shard.Router.quiesce_replicas router in
+          Format.printf
+            "replication: %d replica(s) per shard, %d failover(s)%s@."
+            (Option.value ~default:0 replicas)
+            (Shard.Router.failovers router)
+            (if converged then "" else " [followers NOT converged]")
+        end;
+        Format.printf "sharded utility: %.6g@." (Shard.Router.utility router));
+    compare =
+      (fun () ->
+        let global, evals = Shard.Router.global_scratch router in
+        let loss =
+          if global > 0. then
+            100. *. (1. -. (Shard.Router.utility router /. global))
+          else 0.
         in
-        (match deltas_out with
-        | Some path ->
-            Engine.Delta.write_log path log;
-            Format.printf "wrote %d deltas to %s@." n path
-        | None -> ());
-        log
-    | None, None -> []
-  in
-  let applied = ref 0 and moves = ref 0 in
-  let t0 = Obs.Clock.now () in
-  let boundary ~applied =
-    match rebalance_every with
-    | Some every -> every - (applied mod every)
-    | None -> max_int
-  in
-  iter_batches ~batch ~boundary log (fun chunk ->
-      Shard.Router.apply_batch router chunk;
-      applied := !applied + List.length chunk;
-      match rebalance_every with
-      | Some every when !applied mod every = 0 ->
-          moves := !moves + Shard.Router.rebalance router ~k:rebalance_k;
-          if split = Shard.Router.Demand then
-            Shard.Router.resplit_budgets router
-      | _ -> ());
-  if not skip_final then Shard.Router.replan_all router;
-  let elapsed = Obs.Clock.elapsed_since t0 in
-  let n = !applied in
-  Format.printf
-    "applied %d deltas across %d shards in %.3fs wall (%.0f deltas/s \
-     aggregate)@."
-    n shards elapsed
-    (if elapsed > 0. then float n /. elapsed else 0.);
-  let counts = Shard.Router.counts router in
-  Format.printf "shard populations:";
-  Array.iteri
-    (fun i c ->
-      Format.printf " %d:%d[%s]" i c (Shard.Shard_map.tag map i))
-    counts;
-  Format.printf "@.";
-  if !moves > 0 then Format.printf "rebalance moves: %d@." !moves;
-  if Shard.Router.replicated router then begin
-    let converged = Shard.Router.quiesce_replicas router in
-    Format.printf "replication: %d replica(s) per shard, %d failover(s)%s@."
-      (Option.value ~default:0 replicas)
-      (Shard.Router.failovers router)
-      (if converged then "" else " [followers NOT converged]")
-  end;
-  Format.printf "sharded utility: %.6g@." (Shard.Router.utility router);
-  (if certify then
-     match Shard.Router.certify router with
-     | Error msg -> Format.printf "certificate: none (%s)@." msg
-     | Ok (o, _) ->
-         Format.printf
-           "certificate: bound %.6g, achieved %.6g, ratio %.4f (sparse, \
-            composed over %d shard(s)%s)@."
-           o.Engine.Certify.bound o.Engine.Certify.achieved
-           o.Engine.Certify.ratio shards
-           (if o.Engine.Certify.repaired then ", repaired" else ""));
-  Format.printf "%a@." Engine.Counters.pp_report (Shard.Router.report router);
-  if compare_scratch then begin
-    let global, evals = Shard.Router.global_scratch router in
-    let loss =
-      if global > 0. then
-        100. *. (1. -. (Shard.Router.utility router /. global))
-      else 0.
-    in
-    Format.printf
-      "single global solve: utility %.6g (cross-shard loss %.2f%%), %d \
-       evals@."
-      global loss evals
-  end;
-  Shard.Router.close router;
-  if stats then Format.printf "%s@." (Obs.Export.stats_table ());
-  match metrics_out with
-  | Some path ->
-      Obs.Export.write_prometheus path;
-      Format.printf "metrics -> %s@." path
-  | None -> ()
-
-(* The common end-of-run reporting: plan summary, counter report,
-   optional scratch comparison and artifact outputs. *)
-let finish_run ~ctrl ~compare_scratch ~plan_out ~snapshot_out ~stats
-    ~metrics_out ~trace_out ~certify =
-  Format.printf "plan: %d streams transmitted, utility %.6g%s@."
-    (List.length (Engine.Planner.admitted (C.planner ctrl)))
-    (C.utility ctrl)
-    (if C.degraded ctrl then " [degraded]" else "");
-  (if certify then
-     (* The checker's verdict is what gets printed — the emitters only
-        propose. Small worlds take the dense LP path, large ones the
-        tableau-free Lagrangian path; both degrade to "none" rather than
-        report an unverified number. *)
-     let inst = Engine.View.materialize (C.view ctrl) in
-     let achieved = C.utility ctrl in
-     match Exact.Certificate.emit ~target:achieved inst with
-     | Error msg -> Format.printf "certificate: none (%s)@." msg
-     | Ok (cert, method_) -> (
-         match Exact.Certificate.check inst cert with
-         | Cert.Checker.Rejected msg ->
-             Format.printf "certificate: REJECTED by checker (%s)@." msg
-         | Cert.Checker.Certified { bound; repaired } ->
-             let ratio = Engine.Certify.ratio_of ~achieved ~bound in
-             Engine.Counters.note_certificate (C.counters ctrl) ~ratio;
-             Format.printf
-               "certificate: bound %.6g, achieved %.6g, ratio %.4f (%s%s)@."
-               bound achieved ratio
-               (Exact.Certificate.string_of_method method_)
-               (if repaired then ", repaired" else "")));
-  Format.printf "%a@." Engine.Counters.pp_report (C.report ctrl);
-  if compare_scratch then begin
-    let scratch_util, scratch_evals = C.scratch (C.view ctrl) in
-    let gap =
-      if scratch_util > 0. then
-        100. *. (1. -. (C.utility ctrl /. scratch_util))
-      else 0.
-    in
-    Format.printf
-      "from-scratch eager solve: utility %.6g (engine gap %.2f%%), %d \
-       evals for one solve@."
-      scratch_util gap scratch_evals
-  end;
-  (match plan_out with
-  | Some path ->
-      Mmd.Io.write_assignment path (C.plan ctrl);
-      Format.printf "plan -> %s@." path
-  | None -> ());
-  (match snapshot_out with
-  | Some path ->
-      Engine.Snapshot.write_file path ctrl;
-      Format.printf "snapshot -> %s@." path
-  | None -> ());
-  if stats then Format.printf "%s@." (Obs.Export.stats_table ());
-  (match metrics_out with
-  | Some path ->
-      Obs.Export.write_prometheus path;
-      Format.printf "metrics -> %s@." path
-  | None -> ());
-  match trace_out with
-  | Some path ->
-      Obs.Trace.close ();
-      Format.printf "trace -> %s (%d spans)@." path
-        (Obs.Trace.spans_emitted ())
-  | None -> ()
-
-(* Replicated mode: the replay goes through a Replica.Group — the
-   primary applies and WAL-ships every delta to the followers, and
-   --kill-primary-at exercises heartbeat detection + promotion mid-log.
-   Batches cut at the crash / kill / snapshot boundaries, so those
-   events land at the same applied-delta positions as a per-record
-   run; Group.apply_batch itself preserves the per-record tick
-   machinery (heartbeats and failover fire at identical points). *)
-let replicated_run ~records ~policy ~replicas ~heartbeat_every
-    ~kill_primary_at ~hand_over_at ~transport ~wal_writer ~skip_final
-    ~snapshot_out ~snapshot_every ~crash_after ~batch inst =
-  let config =
-    match heartbeat_every with
-    | None -> Replica.Group.default_config
-    | Some hb ->
-        { Replica.Group.default_config with
-          heartbeat_every = hb;
-          heartbeat_timeout =
-            max (3 * hb) Replica.Group.default_config.heartbeat_timeout
-        }
-  in
-  let mk_link =
-    match transport with
-    | "queue" -> fun _ -> Replica.Transport.queue_link ()
-    | "socket" -> fun _ -> Replica.Transport_socket.loopback ()
-    | other -> failwith (Printf.sprintf "unknown replica transport %S" other)
-  in
-  let g =
-    Replica.Group.create ~policy ~config ~mk_link ?wal:wal_writer ~replicas
-      inst
-  in
-  let applied = ref 0 in
-  let t0 = Obs.Clock.now () in
-  let boundary ~applied =
-    let cut =
-      match crash_after with
-      | Some n -> max 1 (n - applied)
-      | None -> max_int
-    in
-    let cut =
-      match kill_primary_at with
-      | Some n when n > applied -> min cut (n - applied)
-      | _ -> cut
-    in
-    let cut =
-      match hand_over_at with
-      | Some n when n > applied -> min cut (n - applied)
-      | _ -> cut
-    in
-    match (snapshot_every, snapshot_out) with
-    | Some every, Some _ -> min cut (every - (applied mod every))
-    | _ -> cut
-  in
-  iter_batches ~batch ~boundary records (fun chunk ->
-      (match crash_after with
-      | Some n when !applied >= n ->
-          (match wal_writer with
-          | Some w -> Engine.Wal.flush_writer w
-          | None -> ());
-          Format.printf "simulated crash at delta boundary %d@." !applied;
-          Format.print_flush ();
-          exit 3
-      | _ -> ());
-      (match kill_primary_at with
-      | Some n when !applied = n && Replica.Group.primary_alive g ->
-          Format.printf "killing primary (replica %d) at delta boundary %d@."
-            (Replica.Group.primary_id g)
-            n;
-          Replica.Group.kill_primary g
-      | _ -> ());
-      (match hand_over_at with
-      | Some n when !applied = n -> (
-          match Replica.Group.hand_over g with
-          | Ok id ->
-              Format.printf
-                "hand-over at boundary %d: new primary replica %d, lost 0 \
-                 deltas@."
-                n id
-          | Error msg ->
-              Format.printf "hand-over at boundary %d refused: %s@." n msg)
-      | _ -> ());
-      Replica.Chaos.ensure_promoted g;
-      ignore (Replica.Group.apply_batch g (List.map snd chunk));
-      applied := !applied + List.length chunk;
-      match (snapshot_every, snapshot_out) with
-      | Some every, Some path when !applied mod every = 0 ->
-          Engine.Snapshot.write_file path (Replica.Group.primary g)
-      | _ -> ());
-  let converged = Replica.Group.quiesce g in
-  if not skip_final then C.replan (Replica.Group.primary g);
-  let elapsed = Obs.Clock.elapsed_since t0 in
-  Format.printf "applied %d deltas in %.3fs wall (%.0f deltas/s)@." !applied
-    elapsed
-    (if elapsed > 0. then float !applied /. elapsed else 0.);
-  Format.printf
-    "replication: %d follower(s), term %d, %d failover(s), primary replica \
-     %d%s@."
-    (Replica.Group.replicas g)
-    (Replica.Group.term g)
-    (Replica.Group.failovers g)
-    (Replica.Group.primary_id g)
-    (if converged then "" else " [followers NOT converged]");
-  if Replica.Group.failovers g > 0 then
-    Format.printf "time to promote: %.6fs@."
-      (Replica.Group.last_promote_seconds g);
-  if Replica.Group.handovers g > 0 then
-    Format.printf "planned hand-overs: %d@." (Replica.Group.handovers g);
-  List.iter
-    (fun id ->
-      Format.printf "follower %d: acked seq %d (lag %d)@." id
-        (Option.value ~default:0 (Replica.Group.acked g id))
-        (Option.value ~default:0 (Replica.Group.lag g id)))
-    (Replica.Group.live_followers g);
-  let primary = Replica.Group.primary g in
-  Replica.Group.close g;
-  primary
+        Format.printf
+          "single global solve: utility %.6g (cross-shard loss %.2f%%), %d \
+           evals@."
+          global loss evals) }
 
 let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
     compare_scratch snapshot_in snapshot_out snapshot_every plan_out domains
@@ -615,511 +980,142 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
     hand_over_at replica_transport replica_listen replica_connect
     replica_supervise replica_id replica_idle_timeout replica_kill_at
     replica_kill_mid_frame batch wal_dir checkpoint_every certify =
-  match shards with
-  | Some n when n >= 1 -> (
-      match
-        if batch < 1 then failwith "--batch: need at least 1";
-        if wal_dir <> None then
-          failwith
-            "--wal-dir is unsupported with --shards (per-shard WALs live \
-             under --wal-out DIR)";
-        Prelude.Pool.set_num_domains domains;
-        sharded_run ~file ~deltas_in ~gen_deltas ~seed ~deltas_out ~epoch
-          ~skip_final ~compare_scratch ~wal_out ~metrics_out ~stats ~shards:n
-          ~shard_tags ~split ~rebalance_every ~rebalance_k ~replicas
-          ~heartbeat_every ~batch ~certify
-      with
-      | () -> Ok ()
-      | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
-          Error (`Msg msg))
-  | Some n -> Error (`Msg (Printf.sprintf "--shards %d: need at least 1" n))
-  | None ->
   match
+    let mode =
+      match (shards, replica_listen, replica_connect, replica_supervise) with
+      | Some _, _, _, _ -> Sharded
+      | None, Some _, _, _ -> Follower
+      | None, None, Some _, _ -> Proc_primary
+      | None, None, None, Some _ -> Supervisor
+      | None, None, None, None -> if replicas = None then Single else Replicated
+    in
+    let local = [ Single; Replicated; Sharded ] in
+    let feeds = Proc_primary :: Supervisor :: local in
+    let controller = [ Single; Replicated ] in
+    let procs = [ Proc_primary; Supervisor ] in
+    check_flags mode
+      ~flags:
+        [ ("--deltas", deltas_in <> None, feeds);
+          ("--gen-deltas", gen_deltas <> None, feeds);
+          ("--deltas-out", deltas_out <> None, Proc_primary :: local);
+          ("--wal-out", wal_out <> None, feeds);
+          ("--skip-final-replan", skip_final, local);
+          ("--compare", compare_scratch, local);
+          ("--certify", certify, local);
+          ("--batch", batch <> 1, local);
+          ("--trace-out", trace_out <> None, local);
+          ("--metrics-out", metrics_out <> None, local);
+          ("--stats", stats, local);
+          ("--wal-dir", wal_dir <> None, [ Single ]);
+          ("--checkpoint-every", checkpoint_every <> 512, [ Single ]);
+          ("--snapshot-in", snapshot_in <> None, [ Single ]);
+          ("--snapshot-out", snapshot_out <> None, controller);
+          ("--snapshot-every", snapshot_every <> None, controller);
+          ("--plan-out", plan_out <> None, controller);
+          ("--crash-after", crash_after <> None, controller);
+          ("--shard-tags", shard_tags <> None, [ Sharded ]);
+          ("--split", split <> "even", [ Sharded ]);
+          ("--rebalance-every", rebalance_every <> None, [ Sharded ]);
+          ("--rebalance-k", rebalance_k <> 8, [ Sharded ]);
+          ("--replicas", replicas <> None, [ Replicated; Sharded ]);
+          ( "--heartbeat-every",
+            heartbeat_every <> None,
+            Replicated :: Sharded :: procs );
+          ("--kill-primary-at", kill_primary_at <> None, [ Replicated ]);
+          ("--hand-over-at", hand_over_at <> None, [ Replicated ]);
+          ("--replica-transport", replica_transport <> "queue", [ Replicated ]);
+          ("--replica-listen", replica_listen <> None, [ Follower ]);
+          ("--replica-connect", replica_connect <> None, [ Proc_primary ]);
+          ("--replica-supervise", replica_supervise <> None, [ Supervisor ]);
+          ("--replica-id", replica_id <> 0, [ Follower ]);
+          ( "--replica-idle-timeout",
+            replica_idle_timeout <> 30.,
+            [ Follower; Supervisor ] );
+          ("--replica-kill-at", replica_kill_at <> None, procs);
+          ("--replica-kill-mid-frame", replica_kill_mid_frame, procs) ]
+      ~needs:
+        [ ( "--checkpoint-every", checkpoint_every <> 512,
+            "--wal-dir", wal_dir <> None );
+          ( "--snapshot-every", snapshot_every <> None,
+            "--snapshot-out", snapshot_out <> None );
+          ( "--deltas-out", deltas_out <> None,
+            "--gen-deltas", gen_deltas <> None && deltas_in = None );
+          ( "--heartbeat-every", heartbeat_every <> None,
+            "--replicas", mode <> Sharded || replicas <> None ) ];
+    if wal_out <> None && wal_dir <> None then
+      failwith "--wal-out and --wal-dir are mutually exclusive";
     if batch < 1 then failwith "--batch: need at least 1";
     if checkpoint_every < 1 then failwith "--checkpoint-every: need at least 1";
-    Prelude.Pool.set_num_domains domains;
-    (match trace_out with
-    | Some path -> Obs.Trace.set_output path
-    | None -> ());
-    let policy =
-      match C.policy_of_string epoch with
-      | Ok p -> p
-      | Error msg -> failwith msg
-    in
-    let text = read_all file in
-    let restore_snapshot ~path ~text =
-      match Engine.Snapshot.load_result text with
-      | Ok ctrl ->
-          Format.printf "restored snapshot: %d slots active, utility %.6g@."
-            (Engine.View.active_count (C.view ctrl))
-            (C.utility ctrl);
-          ctrl
-      | Error msg -> (
-          (* The on-disk fallback generation may still be good. *)
-          match Engine.Snapshot.read_file_result path with
-          | Ok (ctrl, Engine.Snapshot.Previous) ->
-              Format.printf
-                "snapshot damaged (%s); fell back to previous generation: \
-                 %d slots active, utility %.6g@."
-                msg
-                (Engine.View.active_count (C.view ctrl))
-                (C.utility ctrl);
-              ctrl
-          | Ok (ctrl, Engine.Snapshot.Current) -> ctrl
-          | Error msg -> failwith msg)
-    in
-    (* The replay stream as (seq, delta) pairs. Plain logs are
-       numbered from [already] (the restored lifetime delta count) —
-       continuation semantics for a snapshot-resumed run fed new
-       deltas. Under --wal-dir the input log is the same log the
-       crashed run consumed from seq 1, so [plain_from_start] numbers
-       it from 1 and the recovered prefix is skipped like a WAL's.
-       WAL records carry their own authoritative sequence numbers and
-       records a snapshot already covers are skipped. [note] receives
-       the quarantined count for the counters of whichever controller
-       ends up replaying. *)
-    let load_records ?(plain_from_start = false) ~already ~view ~note () =
-      match (deltas_in, gen_deltas) with
-      | Some path, _ ->
-          let text = read_all path in
-          if Engine.Wal.is_wal text then begin
-            match Engine.Wal.recover_string text with
-            | Error msg -> failwith msg
-            | Ok r ->
-                if r.Engine.Wal.quarantined <> [] then begin
-                  let n = List.length r.Engine.Wal.quarantined in
-                  note n;
-                  Format.printf "WAL recovery: quarantined %d record(s)%s@."
-                    n
-                    (if r.Engine.Wal.torn_tail then
-                       " (including a torn tail)"
-                     else "");
-                  List.iteri
-                    (fun i (q : Engine.Wal.quarantined) ->
-                      if i < 10 then
-                        Format.printf "  line %d: %s@." q.Engine.Wal.line
-                          q.Engine.Wal.reason)
-                    r.Engine.Wal.quarantined;
-                  if n > 10 then Format.printf "  ... and %d more@." (n - 10)
-                end;
-                let fresh, skipped =
-                  List.partition
-                    (fun (seq, _) -> seq > already)
-                    r.Engine.Wal.records
-                in
-                if skipped <> [] then
-                  Format.printf
-                    "resume: skipping %d record(s) already covered by the \
-                     snapshot (up to seq %d)@."
-                    (List.length skipped) already;
-                fresh
-          end
-          else if plain_from_start then begin
-            let all =
-              List.mapi (fun i d -> (i + 1, d)) (Engine.Delta.log_of_string text)
-            in
-            let fresh, skipped =
-              List.partition (fun (seq, _) -> seq > already) all
-            in
-            if skipped <> [] then
-              Format.printf
-                "resume: skipping %d record(s) already recovered (up to seq \
-                 %d)@."
-                (List.length skipped) already;
-            fresh
-          end
-          else
-            List.mapi
-              (fun i d -> (already + i + 1, d))
-              (Engine.Delta.log_of_string text)
-      | None, Some n ->
-          let rng = Prelude.Rng.create seed in
-          let log =
-            Engine.Churn.generate ~rng view
-              { Engine.Churn.default with deltas = n }
-          in
-          (match deltas_out with
-          | Some path ->
-              Engine.Delta.write_log path log;
-              Format.printf "wrote %d deltas to %s@." n path
-          | None -> ());
-          List.mapi (fun i d -> (already + i + 1, d)) log
-      | None, None -> []
-    in
-    let wal_writer =
-      match wal_out with
-      | Some path ->
-          if wal_dir <> None then
-            failwith "--wal-out and --wal-dir are mutually exclusive";
-          (* Continue the sequence from what the log already holds, so
-             crash + resume keeps one coherent WAL. *)
-          let next_seq =
-            if Sys.file_exists path then
-              match Engine.Wal.recover_file path with
-              | Ok r -> r.Engine.Wal.last_seq + 1
-              | Error _ -> 1
-            else 1
-          in
-          Some (Engine.Wal.append_file ~next_seq path)
-      | None -> None
-    in
-    let is_snapshot_file = Engine.Snapshot.is_snapshot text in
-    match replica_listen with
-    | Some listen ->
-        if is_snapshot_file then
-          failwith "--replica-listen starts from an instance";
-        follower_serve_run ~policy ~listen ~replica_id
-          ~idle_timeout:replica_idle_timeout (Mmd.Io.of_string text)
-    | None ->
-    match replica_connect with
-    | Some addrs ->
-        if is_snapshot_file then
-          failwith "--replica-connect starts from an instance";
-        let inst = Mmd.Io.of_string text in
-        let records =
-          load_records ~already:0 ~view:(Engine.View.of_instance inst)
-            ~note:(fun _ -> ())
-            ()
-        in
-        primary_proc_run ~policy ~records ~endpoints:(parse_endpoints addrs)
-          ~wal_writer ~heartbeat_every ~kill_at:replica_kill_at
-          ~kill_mid_frame:replica_kill_mid_frame inst
-    | None ->
-    match replica_supervise with
-    | Some n ->
-        if is_snapshot_file then
-          failwith "--replica-supervise starts from an instance";
-        supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
-          ~wal_out ~heartbeat_every ~kill_at:replica_kill_at
-          ~kill_mid_frame:replica_kill_mid_frame
-          ~idle_timeout:replica_idle_timeout (Mmd.Io.of_string text)
-    | None ->
-    match replicas with
-    | Some r when r >= 1 ->
-        if is_snapshot_file then
-          failwith
-            "--replicas starts from an instance (replication rebuilds \
-             follower state by shipping, not snapshots)";
-        if snapshot_in <> None then
-          failwith "--replicas and --snapshot-in are mutually exclusive";
-        if wal_dir <> None then
-          failwith
-            "--wal-dir is unsupported with --replicas (the group's durable \
-             log is --wal-out)";
-        let inst = Mmd.Io.of_string text in
-        let records =
-          load_records ~already:0 ~view:(Engine.View.of_instance inst)
-            ~note:(fun _ -> ())
-            ()
-        in
-        let ctrl =
-          replicated_run ~records ~policy ~replicas:r ~heartbeat_every
-            ~kill_primary_at ~hand_over_at ~transport:replica_transport
-            ~wal_writer ~skip_final ~snapshot_out ~snapshot_every
-            ~crash_after ~batch inst
-        in
-        (match wal_writer with Some w -> Engine.Wal.close w | None -> ());
-        finish_run ~ctrl ~compare_scratch ~plan_out ~snapshot_out ~stats
-          ~metrics_out ~trace_out ~certify
-    | Some r -> failwith (Printf.sprintf "--replicas %d: need at least 1" r)
-    | None ->
-    (* Build the starting controller. With --wal-dir the segmented
-       store is both the durable log and the replay input: the
-       recovery chooser prices checkpoint-chain + store tail against
-       snapshot + tail and a full replay of the store, the chosen
-       state is restored, and the uncovered store tail is replayed
-       before any new input records are consumed (so churn generation
-       sees the recovered world). *)
-    let ctrl, store_ctx =
-      match wal_dir with
-      | None ->
-          let ctrl =
-            if is_snapshot_file then restore_snapshot ~path:file ~text
-            else
-              match snapshot_in with
-              | Some snap ->
-                  (* Startup recovery choice: estimate snapshot+tail
-                     against a full replay and take the cheaper path.
-                     The WAL length is counted before building any
-                     controller. *)
-                  let total_records =
-                    match deltas_in with
-                    | Some path -> (
-                        let dtext = read_all path in
-                        if Engine.Wal.is_wal dtext then
-                          match Engine.Wal.recover_string dtext with
-                          | Ok r -> List.length r.Engine.Wal.records
-                          | Error _ -> 0
-                        else List.length (Engine.Delta.log_of_string dtext))
-                    | None -> 0
-                  in
-                  let est =
-                    Engine.Recovery.assess ~snapshot_path:snap ~total_records
-                      ()
-                  in
-                  Format.printf
-                    "recovery: taking %s (estimated snapshot+tail %.4gs vs \
-                     full replay %.4gs)@."
-                    (Engine.Recovery.choice_to_string
-                       est.Engine.Recovery.choice)
-                    est.Engine.Recovery.snapshot_seconds
-                    est.Engine.Recovery.replay_seconds;
-                  let ctrl =
-                    match est.Engine.Recovery.choice with
-                    | Engine.Recovery.Snapshot_tail ->
-                        restore_snapshot ~path:snap ~text:(read_all snap)
-                    | Engine.Recovery.Full_replay ->
-                        C.create ~policy (Mmd.Io.of_string text)
-                    | Engine.Recovery.Chain_tail ->
-                        (* No chain was offered to the chooser here;
-                           chains live under --wal-dir. *)
-                        assert false
-                  in
-                  Engine.Recovery.note (C.counters ctrl)
-                    est.Engine.Recovery.choice;
-                  ctrl
-              | None -> C.create ~policy (Mmd.Io.of_string text)
-          in
-          (ctrl, None)
-      | Some dir ->
-          if is_snapshot_file then
-            failwith
-              "--wal-dir starts from an instance; state comes back through \
-               the checkpoint chain and the segment store";
-          let inst = Mmd.Io.of_string text in
-          let chain = Filename.concat dir "chain.ckpt" in
-          let recovery =
-            if Sys.file_exists dir then
-              match Engine.Wal_store.recover_dir dir with
-              | Ok r -> Some r
-              | Error _ -> None (* no segments yet: fresh store *)
-            else None
-          in
-          let ctrl, tail =
-            match recovery with
-            | None -> (C.create ~policy inst, [])
-            | Some r ->
-                let total_records = r.Engine.Wal_store.last_seq in
-                let est =
-                  Engine.Recovery.assess ~chain_path:chain
-                    ~snapshot_path:
-                      (Option.value snapshot_in
-                         ~default:(Filename.concat dir ".no-snapshot"))
-                    ~total_records ()
-                in
-                let est =
-                  (* A compacted store cannot serve a full replay — the
-                     records below first_seq are gone — so the chain
-                     must cover the gap. *)
-                  if r.Engine.Wal_store.first_seq > 1 then
-                    match Engine.Checkpoint.peek chain with
-                    | Some (_, covered, _)
-                      when covered >= r.Engine.Wal_store.first_seq - 1 ->
-                        { est with
-                          Engine.Recovery.choice = Engine.Recovery.Chain_tail
-                        }
-                    | _ ->
-                        failwith
-                          (Printf.sprintf
-                             "store %s is compacted below seq %d but the \
-                              checkpoint chain does not cover the gap"
-                             dir r.Engine.Wal_store.first_seq)
-                  else est
-                in
-                Format.printf
-                  "recovery: taking %s (chain+tail %.4gs vs snapshot+tail \
-                   %.4gs vs full replay %.4gs; %d record(s) on disk)@."
-                  (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-                  est.Engine.Recovery.chain_seconds
-                  est.Engine.Recovery.snapshot_seconds
-                  est.Engine.Recovery.replay_seconds total_records;
-                let ctrl, covered =
-                  match est.Engine.Recovery.choice with
-                  | Engine.Recovery.Chain_tail -> (
-                      match
-                        Engine.Checkpoint.recover ~instance:inst ~path:chain
-                      with
-                      | Ok rc ->
-                          if rc.Engine.Checkpoint.torn then
-                            Format.printf
-                              "checkpoint chain: dropped a torn tail \
-                               increment@.";
-                          Format.printf
-                            "restored checkpoint chain: %d increment(s) \
-                             covering seq %d@."
-                            rc.Engine.Checkpoint.increments
-                            rc.Engine.Checkpoint.covered;
-                          ( rc.Engine.Checkpoint.ctrl,
-                            rc.Engine.Checkpoint.covered )
-                      | Error msg ->
-                          failwith ("checkpoint chain recovery failed: " ^ msg)
-                      )
-                  | Engine.Recovery.Snapshot_tail ->
-                      let snap =
-                        match snapshot_in with
-                        | Some s -> s
-                        | None -> assert false
-                      in
-                      let ctrl =
-                        restore_snapshot ~path:snap ~text:(read_all snap)
-                      in
-                      (ctrl, C.deltas_applied ctrl)
-                  | Engine.Recovery.Full_replay -> (C.create ~policy inst, 0)
-                in
-                Engine.Recovery.note (C.counters ctrl)
-                  est.Engine.Recovery.choice;
-                if r.Engine.Wal_store.quarantined <> [] then begin
-                  let n = List.length r.Engine.Wal_store.quarantined in
-                  Engine.Counters.note_quarantined ~n (C.counters ctrl);
-                  Format.printf
-                    "segment store: quarantined %d record(s)%s@." n
-                    (if r.Engine.Wal_store.torn_tail then
-                       " (including a torn tail)"
-                     else "")
-                end;
-                let tail =
-                  List.filter
-                    (fun (seq, _) -> seq > covered)
-                    r.Engine.Wal_store.records
-                in
-                (ctrl, tail)
-          in
-          let store = Engine.Wal_store.open_dir dir in
-          let w = Engine.Checkpoint.create_writer ~path:chain ctrl in
-          if tail <> [] then begin
-            let t0 = Obs.Clock.now () in
-            C.apply_batch ~on_applied:(Engine.Checkpoint.note w) ctrl
-              (List.map snd tail);
-            Format.printf "replayed %d tail record(s) in %.4fs@."
-              (List.length tail)
-              (Obs.Clock.elapsed_since t0)
-          end;
-          (ctrl, Some (store, w))
-    in
-    let records =
-      load_records
-        ~plain_from_start:(wal_dir <> None)
-        ~already:(C.deltas_applied ctrl) ~view:(C.view ctrl)
-        ~note:(fun n -> Engine.Counters.note_quarantined ~n (C.counters ctrl))
-        ()
-    in
-    let applied = ref 0 in
-    let last_seq = ref (C.deltas_applied ctrl) in
-    let t0 = Obs.Clock.now () in
-    let boundary ~applied =
-      let cut =
-        match crash_after with
-        | Some n -> max 1 (n - applied)
-        | None -> max_int
-      in
-      let cut =
-        match (snapshot_every, snapshot_out) with
-        | Some every, Some _ -> min cut (every - (applied mod every))
-        | _ -> cut
-      in
-      match store_ctx with
-      | Some _ -> min cut (checkpoint_every - (applied mod checkpoint_every))
-      | None -> cut
-    in
-    let process chunk =
-      (match crash_after with
-      | Some n when !applied >= n ->
-          (* Simulated crash: no final replan, no snapshot, no
-             cleanup — the recovery path has to cope. The WAL is
-             flushed first so every applied delta survives the
-             exit (see EXIT STATUS: 3); the checkpoint chain is
-             deliberately NOT advanced, leaving a tail for recovery. *)
-          (match wal_writer with
-          | Some w -> Engine.Wal.flush_writer w
-          | None -> ());
-          (match store_ctx with
-          | Some (store, _) -> Engine.Wal_store.flush store
-          | None -> ());
-          Format.printf "simulated crash at delta boundary %d (next seq %d)@."
-            !applied
-            (match chunk with (seq, _) :: _ -> seq | [] -> !last_seq + 1);
-          Format.print_flush ();
-          exit 3
-      | _ -> ());
-      let deltas = List.map snd chunk in
-      (* Log first, apply second: a crash between the two re-applies
-         on recovery instead of losing an applied record. One OS flush
-         per batch; bytes on disk are identical to per-record appends. *)
-      (match store_ctx with
-      | Some (store, _) ->
-          List.iter
-            (fun d -> ignore (Engine.Wal_store.append_tee ~flush:false store d))
-            deltas;
-          Engine.Wal_store.flush store
-      | None -> ());
-      (match wal_writer with
-      | Some w ->
-          List.iter
-            (fun d -> ignore (Engine.Wal.append_tee ~flush:false w d))
-            deltas;
-          Engine.Wal.flush_writer w
-      | None -> ());
-      (match store_ctx with
-      | Some (_, w) ->
-          C.apply_batch ~on_applied:(Engine.Checkpoint.note w) ctrl deltas
-      | None -> C.apply_batch ctrl deltas);
-      applied := !applied + List.length deltas;
-      (match List.rev chunk with
-      | (seq, _) :: _ -> last_seq := seq
-      | [] -> ());
-      (match store_ctx with
-      | Some (store, w) when !applied mod checkpoint_every = 0 ->
-          Engine.Checkpoint.checkpoint w ctrl;
-          ignore
-            (Engine.Wal_store.compact store
-               ~covered:(Engine.Checkpoint.covered w))
-      | _ -> ());
-      match (snapshot_every, snapshot_out) with
-      | Some every, Some path when !applied mod every = 0 ->
-          Engine.Snapshot.write_file path ctrl
+    let at_least_1 flag = function
+      | Some n when n < 1 ->
+          failwith (Printf.sprintf "%s %d: need at least 1" flag n)
       | _ -> ()
     in
-    (try iter_batches ~batch ~boundary records process
-     with
-    | Failure msg | Invalid_argument msg ->
-        (* Partial output before dying: the operator can resume from
-           the printed seq with a corrected log. *)
-        Format.printf "aborted mid-log: %s@." msg;
-        print_partial_state ctrl ~applied:!applied ~last_seq:!last_seq;
-        Format.print_flush ();
-        failwith
-          (Printf.sprintf "replay aborted after %d deltas (log seq %d): %s"
-             !applied !last_seq msg));
-    (match wal_writer with Some w -> Engine.Wal.close w | None -> ());
-    if not skip_final then C.replan ctrl;
-    (match store_ctx with
-    | Some (store, w) ->
-        (* Final increment captures the post-replan plan, so a clean
-           resume has a zero-record tail; compaction then retires
-           every sealed segment. *)
-        Engine.Checkpoint.checkpoint w ctrl;
-        let deleted =
-          Engine.Wal_store.compact store
-            ~covered:(Engine.Checkpoint.covered w)
-        in
-        Format.printf
-          "checkpoint chain: %d increment(s), covers seq %d; store: %d \
-           segment(s) on disk%s@."
-          (Engine.Checkpoint.increments w)
-          (Engine.Checkpoint.covered w)
-          (List.length (Engine.Wal_store.segments (Engine.Wal_store.dir store)))
-          (if deleted > 0 then Printf.sprintf " (%d compacted away)" deleted
-           else "");
-        Engine.Checkpoint.close_writer w;
-        Engine.Wal_store.close store
-    | None -> ());
-    let elapsed = Obs.Clock.elapsed_since t0 in
-    let n = !applied in
-    Format.printf "applied %d deltas in %.3fs wall (%.0f deltas/s)@." n
-      elapsed
-      (if elapsed > 0. then float n /. elapsed else 0.);
-    finish_run ~ctrl ~compare_scratch ~plan_out ~snapshot_out ~stats
-      ~metrics_out ~trace_out ~certify
+    at_least_1 "--shards" shards;
+    if mode = Replicated then at_least_1 "--replicas" replicas;
+    let text = read_all file in
+    if Engine.Snapshot.is_snapshot text && (mode <> Single || wal_dir <> None)
+    then
+      failwith
+        (match mode with
+        | Single ->
+            "--wal-dir starts from an instance; state comes back through the \
+             checkpoint chain and the segment store"
+        | Replicated ->
+            "--replicas starts from an instance (replication rebuilds \
+             follower state by shipping, not snapshots)"
+        | Sharded ->
+            "sharded mode starts from an instance; recovery goes through the \
+             per-shard WALs, not a snapshot"
+        | Follower -> "--replica-listen starts from an instance"
+        | Proc_primary -> "--replica-connect starts from an instance"
+        | Supervisor -> "--replica-supervise starts from an instance");
+    Prelude.Pool.set_num_domains domains;
+    Option.iter Obs.Trace.set_output trace_out;
+    let policy =
+      match C.policy_of_string epoch with Ok p -> p | Error msg -> failwith msg
+    in
+    let load = load_records ~deltas_in ~gen_deltas ~seed ~deltas_out in
+    let replay =
+      replay
+        ~load:(load ~plain_from_start:(wal_dir <> None))
+        ~batch ~crash_after ~skip_final ~compare:compare_scratch ~certify
+        ~plan_out ~snapshot_out ~snapshot_every ~stats ~metrics_out ~trace_out
+    in
+    let inst () = Mmd.Io.of_string text in
+    match mode with
+    | Follower ->
+        follower_serve_run ~policy ~listen:(Option.get replica_listen)
+          ~replica_id ~idle_timeout:replica_idle_timeout (inst ())
+    | Proc_primary ->
+        let inst = inst () in
+        primary_proc_run ~policy
+          ~records:
+            (load ~plain_from_start:false ~already:0
+               ~view:(Engine.View.of_instance inst) ~note:ignore)
+          ~endpoints:(parse_endpoints (Option.get replica_connect))
+          ~wal_writer:(Option.map open_wal_out wal_out)
+          ~heartbeat_every ~kill_at:replica_kill_at
+          ~kill_mid_frame:replica_kill_mid_frame inst
+    | Supervisor ->
+        supervise_run ~policy ~file ~epoch ~n:(Option.get replica_supervise)
+          ~gen_deltas ~deltas_in ~seed ~wal_out ~heartbeat_every
+          ~kill_at:replica_kill_at ~kill_mid_frame:replica_kill_mid_frame
+          ~idle_timeout:replica_idle_timeout (inst ())
+    | Single ->
+        replay
+          (single_mode ~policy ~file ~text ~snapshot_in ~deltas_in ~wal_out
+             ~wal_dir ~checkpoint_every)
+    | Replicated ->
+        replay
+          (replicated_mode ~policy ~replicas:(Option.get replicas)
+             ~heartbeat_every ~transport:replica_transport ~wal_out
+             ~kill_primary_at ~hand_over_at (inst ()))
+    | Sharded ->
+        replay
+          (sharded_mode ~policy ~seed ~shards:(Option.get shards) ~shard_tags
+             ~split ~wal_out ~replicas ~heartbeat_every ~rebalance_every
+             ~rebalance_k (inst ()))
   with
   | () -> Ok ()
   | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
@@ -1511,7 +1507,13 @@ let cmd =
          is recoverable); $(b,4) when a $(b,--replica-listen) follower was \
          orphaned past its idle timeout; $(b,5) when a multi-process \
          replica set diverged or a supervised process exited uncleanly; \
-         Cmdliner's usual codes otherwise." ]
+         Cmdliner's usual codes otherwise.";
+      `P
+        "A flag the chosen mode does not honour is rejected before the \
+         run starts, with Cmdliner's error code and one line naming the \
+         flag and the mode, such as 'mmd_engine: --crash-after is not \
+         supported in sharded mode (--shards)' or 'mmd_engine: \
+         --checkpoint-every needs --wal-dir in single-engine mode'." ]
   in
   Cmd.v (Cmd.info "mmd_engine" ~doc ~man)
     Term.(

@@ -83,3 +83,24 @@ let reference ?policy inst ~log ~schedule =
         (F.at schedule (i + 1)))
     log;
   ctrl
+
+let engine g =
+  let primary () = Group.primary g in
+  { Engine.S.apply =
+      (fun d ->
+        ensure_promoted g;
+        Group.apply g d);
+    apply_batch =
+      (fun ds ->
+        ensure_promoted g;
+        ignore (Group.apply_batch g ds));
+    replan =
+      (fun () ->
+        ensure_promoted g;
+        C.replan (primary ()));
+    view = (fun () -> C.view (primary ()));
+    utility = (fun () -> C.utility (primary ()));
+    report = (fun () -> C.report (primary ()));
+    certify = (fun () -> (Engine.S.of_controller (primary ())).certify ());
+    fire = fire g;
+    close = (fun () -> Group.close g) }

@@ -40,3 +40,10 @@ val ensure_promoted : Group.t -> unit
     promotes a follower (restarting crashed followers first when none
     is live). A no-op on a healthy group. Drivers call this before
     applying a delta that may follow a primary kill. *)
+
+val engine : Group.t -> Engine.S.t
+(** The group as an engine. Every apply and the final replan first
+    {!ensure_promoted}, so a kill between deltas heals before the next
+    one lands; the rest reads the current primary (its view, utility,
+    counters and sparse certificate). [fire] is {!fire}; [close] is
+    {!Group.close}. *)

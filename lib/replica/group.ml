@@ -94,6 +94,14 @@ let default_config =
   { heartbeat_every = 8; heartbeat_timeout = 24; backoff_cap = 128;
     max_backoffs = 3 }
 
+let config_of_heartbeat = function
+  | None -> default_config
+  | Some hb ->
+      let hb = max 1 hb in
+      { default_config with
+        heartbeat_every = hb;
+        heartbeat_timeout = max (3 * hb) default_config.heartbeat_timeout }
+
 type t = {
   inst : Mmd.Instance.t;
   policy : C.epoch_policy;

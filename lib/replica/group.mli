@@ -71,6 +71,10 @@ type config = {
 
 val default_config : config
 
+val config_of_heartbeat : int option -> config
+(** [default_config], or heartbeats every [hb] ticks (at least 1) with
+    the detection timeout scaled to at least [3 hb]. *)
+
 type t
 
 val create :

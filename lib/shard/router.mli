@@ -165,3 +165,10 @@ val global_scratch : t -> float * int
 
 val close : t -> unit
 (** Flush and close the per-shard WAL writers, if any. *)
+
+val engine : t -> Engine.S.t
+(** The router as an engine: deltas route as in {!apply}, [replan] is
+    {!replan_all}, [view] is the {!mirror} (the global population),
+    [certify] is the composed {!certify}. Faults are not routed to
+    shards ([fire] is a no-op); chaos drivers reach a shard through
+    {!group}. *)

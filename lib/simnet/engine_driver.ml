@@ -10,84 +10,17 @@ type stats = {
   report : Engine.Counters.report;
 }
 
-(* ---------- Replan supervisor ---------- *)
-
-type supervisor_config = {
-  replan_time_budget : float;
-  max_retries : int;
-  backoff : float;
-}
-
-let default_supervisor =
-  { replan_time_budget = 5.; max_retries = 3; backoff = 0.05 }
-
-type replan_outcome = {
-  retries : int;
-  fell_back : bool;
-  overran : bool;
-  seconds : float;
-  backoff_waited : float;
-}
-
-let note_fallback_counters ctrl t0 =
-  Engine.Counters.note_fallback (C.counters ctrl);
-  Engine.Counters.note_recovery (C.counters ctrl)
-    ~seconds:(Obs.Clock.elapsed_since t0)
-
-let supervised_replan ?(config = default_supervisor)
-    ?(inject = fun ~attempt:_ -> ()) ctrl =
-  Obs.Span.with_ ~name:"driver.supervised_replan" (fun () ->
-      (* The controller's plan is feasible by invariant at every delta
-         boundary; capture it so a failed replan has something to fall
-         back to. *)
-      let last_feasible = C.plan ctrl in
-      let t0 = Obs.Clock.now () in
-      let waited = ref 0. in
-      let rec attempt k =
-        match
-          inject ~attempt:k;
-          C.replan ctrl
-        with
-        | () ->
-            let seconds = Obs.Clock.elapsed_since t0 in
-            { retries = k;
-              fell_back = false;
-              overran = seconds -. !waited > config.replan_time_budget;
-              seconds;
-              backoff_waited = !waited }
-        | exception _ when k < config.max_retries ->
-            (* Bounded exponential backoff. The wait is simulated
-               (summed, not slept) so chaos tests stay fast and
-               deterministic. *)
-            waited := !waited +. (config.backoff *. float (1 lsl k));
-            attempt (k + 1)
-        | exception _ ->
-            (* Out of retries: restore the last feasible plan and serve
-               it. [Planner.force] resets the planner first, so a
-               replan that died mid-solve leaves no partial state
-               behind. *)
-            Engine.Planner.force (C.planner ctrl) last_feasible;
-            note_fallback_counters ctrl t0;
-            { retries = k;
-              fell_back = true;
-              overran = false;
-              seconds = Obs.Clock.elapsed_since t0;
-              backoff_waited = !waited }
-      in
-      attempt 0)
-
 let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
-    ?(epoch = C.Drift 0.05) ?(churn = Engine.Churn.default)
-    ?(faults = ([] : Engine.Fault.schedule)) ?supervisor ?(batch = 1) inst =
-  let ctrl = C.create ~policy:epoch inst in
+    ?(churn = Engine.Churn.default) ?(faults = ([] : Engine.Fault.schedule))
+    ?(batch = 1) (e : Engine.S.t) =
   let des = Des.create () in
   let utility_time = ref 0. in
   let last = ref 0. in
   let joins = ref 0 and leaves = ref 0 and peak = ref 0 in
   (* Departures are fire-and-forget — nothing reads their result — so
      they defer onto a buffer drained through the batched entry point
-     (Controller.apply_batch). The utility-time integral samples
-     C.utility at every event, so the buffer MUST drain before any
+     (apply_batch). The utility-time integral samples the engine's
+     utility at every event, so the buffer MUST drain before any
      observation: draining at the start of the next event, before its
      integrate_to, keeps the integral bit-identical to per-event
      applies (the deferred leave takes effect at the start of the
@@ -100,36 +33,7 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
   let applied = ref 0 in
   let fire_faults () =
     incr applied;
-    List.iter
-      (fun (e : Engine.Fault.event) ->
-        match e.kind with
-        | Engine.Fault.Budget_shock _ | Engine.Fault.Stream_outage _ -> (
-            match Engine.Fault.shock_delta (C.view ctrl) e.kind with
-            | Some d -> ignore (C.absorb_shock ctrl d)
-            | None -> ())
-        | Engine.Fault.Task_exn ->
-            (* The first replan attempt dies inside a pool task; the
-               supervisor retries and the retry succeeds. *)
-            Engine.Counters.note_fault (C.counters ctrl);
-            ignore
-              (supervised_replan ?config:supervisor
-                 ~inject:(fun ~attempt ->
-                   if attempt = 0 then Engine.Fault.raise_in_pool ())
-                 ctrl)
-        | Engine.Fault.Corrupt_log | Engine.Fault.Torn_snapshot ->
-            (* Storage faults are exercised by the WAL/snapshot paths,
-               not the in-memory simulation. *)
-            ()
-        | Engine.Fault.Drop_frame _ | Engine.Fault.Dup_frame _
-        | Engine.Fault.Reorder_frames _ | Engine.Fault.Truncate_frame _
-        | Engine.Fault.Follower_crash _ | Engine.Fault.Primary_crash
-        | Engine.Fault.Heartbeat_partition _ | Engine.Fault.Hold_frames _
-        | Engine.Fault.Link_partition _ | Engine.Fault.Link_reset _
-        | Engine.Fault.Hand_over ->
-            (* Replication faults attack the shipping layer; the
-               Replica.Chaos harness drives them. *)
-            ())
-      (Engine.Fault.at faults !applied)
+    List.iter e.fire (Engine.Fault.at faults !applied)
   in
   let pending = ref [] and npending = ref 0 in
   let flush_pending () =
@@ -137,13 +41,13 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
       let ds = List.rev !pending in
       pending := [];
       npending := 0;
-      C.apply_batch ctrl ds;
+      e.apply_batch ds;
       List.iter (fun _ -> fire_faults ()) ds
     end
   in
   let integrate_to now =
     flush_pending ();
-    utility_time := !utility_time +. (C.utility ctrl *. (now -. !last));
+    utility_time := !utility_time +. (e.utility () *. (now -. !last));
     last := now
   in
   let depart slot des =
@@ -160,11 +64,11 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
   in
   let rec join des =
     integrate_to (Des.now des);
-    let spec = Engine.Churn.random_user rng (C.view ctrl) churn in
-    (match C.apply ctrl (Engine.Delta.User_join spec) with
+    let spec = Engine.Churn.random_user rng (e.view ()) churn in
+    (match e.apply (Engine.Delta.User_join spec) with
     | Engine.View.Joined slot ->
         incr joins;
-        peak := max !peak (Engine.View.active_count (C.view ctrl));
+        peak := max !peak (Engine.View.active_count (e.view ()));
         schedule_departure slot
     | _ -> ());
     fire_faults ();
@@ -173,8 +77,8 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
       join
   in
   (* The seed population churns out like everyone else. *)
-  List.iter schedule_departure (Engine.View.active_slots (C.view ctrl));
-  peak := Engine.View.active_count (C.view ctrl);
+  List.iter schedule_departure (Engine.View.active_slots (e.view ()));
+  peak := Engine.View.active_count (e.view ());
   Des.schedule des
     ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
     join;
@@ -185,115 +89,8 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
     joins = !joins;
     leaves = !leaves;
     peak_population = !peak;
-    final_utility = C.utility ctrl;
-    report = C.report ctrl }
-
-(* ---------- Replicated run ---------- *)
-
-type replicated_stats = {
-  rbase : stats;
-  failovers : int;
-  final_term : int;
-  final_primary : int;
-  time_to_promote : float;
-  min_follower_acked : int;
-  replicated_last_seq : int;
-}
-
-let run_replicated ~rng ?(duration = 1000.) ?(join_rate = 0.2)
-    ?(mean_dwell = 400.) ?(epoch = C.Drift 0.05)
-    ?(churn = Engine.Churn.default) ?(replicas = 2) ?heartbeat_every
-    ?kill_primary_at ?(faults = ([] : Engine.Fault.schedule)) inst =
-  let module G = Replica.Group in
-  let config =
-    match heartbeat_every with
-    | None -> G.default_config
-    | Some hb ->
-        { G.default_config with
-          heartbeat_every = max 1 hb;
-          heartbeat_timeout =
-            max (3 * max 1 hb) G.default_config.heartbeat_timeout }
-  in
-  let g = G.create ~policy:epoch ~config ~replicas inst in
-  let des = Des.create () in
-  let utility_time = ref 0. in
-  let last = ref 0. in
-  let joins = ref 0 and leaves = ref 0 and peak = ref 0 in
-  let integrate_to now =
-    utility_time :=
-      !utility_time +. (C.utility (G.primary g) *. (now -. !last));
-    last := now
-  in
-  let applied = ref 0 in
-  let fire_faults () =
-    incr applied;
-    List.iter (Replica.Chaos.fire g) (Engine.Fault.at faults !applied)
-  in
-  (* A kill may have landed between DES events; detection + promotion
-     must finish before the next delta can be applied. *)
-  let group_apply d =
-    Replica.Chaos.ensure_promoted g;
-    let a = G.apply g d in
-    fire_faults ();
-    a
-  in
-  let depart slot des =
-    integrate_to (Des.now des);
-    ignore (group_apply (Engine.Delta.User_leave slot));
-    incr leaves
-  in
-  let schedule_departure slot =
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:(1. /. mean_dwell))
-      (depart slot)
-  in
-  let rec join des =
-    integrate_to (Des.now des);
-    Replica.Chaos.ensure_promoted g;
-    let spec = Engine.Churn.random_user rng (C.view (G.primary g)) churn in
-    (match group_apply (Engine.Delta.User_join spec) with
-    | Engine.View.Joined slot ->
-        incr joins;
-        peak := max !peak (Engine.View.active_count (C.view (G.primary g)));
-        schedule_departure slot
-    | _ -> ());
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-      join
-  in
-  Option.iter
-    (fun at -> Des.schedule des ~delay:at (fun _ -> G.kill_primary g))
-    kill_primary_at;
-  List.iter schedule_departure
-    (Engine.View.active_slots (C.view (G.primary g)));
-  peak := Engine.View.active_count (C.view (G.primary g));
-  Des.schedule des
-    ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-    join;
-  Des.run ~until:duration des;
-  integrate_to duration;
-  ignore (G.quiesce g);
-  let min_acked =
-    List.fold_left
-      (fun acc id ->
-        match G.acked g id with Some a -> min acc a | None -> acc)
-      max_int
-      (G.live_followers g)
-  in
-  { rbase =
-      { sim_time = duration;
-        utility_time = !utility_time;
-        joins = !joins;
-        leaves = !leaves;
-        peak_population = !peak;
-        final_utility = C.utility (G.primary g);
-        report = C.report (G.primary g) };
-    failovers = G.failovers g;
-    final_term = G.term g;
-    final_primary = G.primary_id g;
-    time_to_promote = G.last_promote_seconds g;
-    min_follower_acked = (if min_acked = max_int then 0 else min_acked);
-    replicated_last_seq = G.last_seq g }
+    final_utility = e.utility ();
+    report = e.report () }
 
 let policy ?(replan_every = 16) ?(epoch = C.Manual) inst =
   let ctrl = C.create ~policy:epoch inst in
@@ -342,93 +139,3 @@ let policy ?(replan_every = 16) ?(epoch = C.Manual) inst =
     Hashtbl.remove live s
   in
   { Policy.name = "engine"; offer; release }
-
-(* ---------- Sharded run ---------- *)
-
-type sharded_stats = {
-  base : stats;  (** aggregated exactly like {!run}'s [stats] *)
-  shard_counts : int array;
-  moves : int;  (** rebalance moves executed over the whole run *)
-  sharded_utility : float;
-  global_utility : float;  (** single global solve over the mirror *)
-  utility_loss : float;  (** [1 - sharded/global]; 0 when global is 0 *)
-}
-
-let run_sharded ~rng ?(duration = 1000.) ?(join_rate = 0.2)
-    ?(mean_dwell = 400.) ?(epoch = C.Drift 0.05)
-    ?(churn = Engine.Churn.default) ?(shards = 4) ?tags
-    ?(split = Shard.Router.Even) ?(rebalance_every = 100.)
-    ?(rebalance_k = 8) inst =
-  let tags =
-    match tags with
-    | Some t -> t
-    | None -> Array.init shards (fun i -> Printf.sprintf "rack%d" (i mod 2))
-  in
-  let map = Shard.Shard_map.create ~tags () in
-  let router = Shard.Router.create ~policy:epoch ~split ~map inst in
-  let des = Des.create () in
-  let utility_time = ref 0. in
-  let last = ref 0. in
-  let joins = ref 0 and leaves = ref 0 and peak = ref 0 and moves = ref 0 in
-  let mirror () = Shard.Router.mirror router in
-  let integrate_to now =
-    utility_time :=
-      !utility_time +. (Shard.Router.utility router *. (now -. !last));
-    last := now
-  in
-  let depart slot des =
-    integrate_to (Des.now des);
-    ignore (Shard.Router.apply router (Engine.Delta.User_leave slot));
-    incr leaves
-  in
-  let schedule_departure slot =
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:(1. /. mean_dwell))
-      (depart slot)
-  in
-  let rec join des =
-    integrate_to (Des.now des);
-    (* Specs are drawn against the mirror — the global population —
-       so the workload is independent of the shard count. *)
-    let spec = Engine.Churn.random_user rng (mirror ()) churn in
-    (match Shard.Router.apply router (Engine.Delta.User_join spec) with
-    | Engine.View.Joined slot ->
-        incr joins;
-        peak := max !peak (Engine.View.active_count (mirror ()));
-        schedule_departure slot
-    | _ -> ());
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-      join
-  in
-  let rec rebalance des =
-    integrate_to (Des.now des);
-    moves := !moves + Shard.Router.rebalance router ~k:rebalance_k;
-    if split = Shard.Router.Demand then Shard.Router.resplit_budgets router;
-    Des.schedule des ~delay:rebalance_every rebalance
-  in
-  List.iter schedule_departure (Engine.View.active_slots (mirror ()));
-  peak := Engine.View.active_count (mirror ());
-  Des.schedule des
-    ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-    join;
-  Des.schedule des ~delay:rebalance_every rebalance;
-  Des.run ~until:duration des;
-  integrate_to duration;
-  let sharded_utility = Shard.Router.utility router in
-  let global_utility, _ = Shard.Router.global_scratch router in
-  { base =
-      { sim_time = duration;
-        utility_time = !utility_time;
-        joins = !joins;
-        leaves = !leaves;
-        peak_population = !peak;
-        final_utility = sharded_utility;
-        report = Shard.Router.report router };
-    shard_counts = Shard.Router.counts router;
-    moves = !moves;
-    sharded_utility;
-    global_utility;
-    utility_loss =
-      (if global_utility <= 0. then 0.
-       else Float.max 0. (1. -. (sharded_utility /. global_utility))) }

@@ -5,9 +5,11 @@
     - {!run} simulates {e user} churn: households join as a Poisson
       process (tastes drawn by {!Engine.Churn.random_user}, Zipf over
       catalog popularity) and dwell for an exponential time; every
-      arrival and departure is fed to an {!Engine.Controller.t} as a
-      delta, and plan utility is integrated over time
-      ("viewer-value-time" of the maintained plan).
+      arrival and departure is fed to an engine as a delta, and plan
+      utility is integrated over time ("viewer-value-time" of the
+      maintained plan). The engine is any {!Engine.S.t}: a plain
+      controller, a replica group or a shard router all run through
+      the same loop.
 
     - {!policy} backs a {!Headend} admission policy with an engine:
       live sessions are pinned into the engine's view, the plan is
@@ -26,163 +28,42 @@ type stats = {
   report : Engine.Counters.report;
 }
 
-(** {1 Replan supervisor}
-
-    A replan that dies (an exception from a pool task, an injected
-    fault) must never take the serving plan down with it. The
-    supervisor wraps {!Engine.Controller.replan} with bounded
-    retry-with-exponential-backoff and, when every retry fails,
-    restores the last feasible plan — the engine keeps serving, merely
-    without the utility the replan would have recovered. *)
-
-type supervisor_config = {
-  replan_time_budget : float;
-      (** seconds a replan may take before it is flagged as an
-          overrun *)
-  max_retries : int;  (** replan attempts after the first failure *)
-  backoff : float;  (** base backoff; attempt [k] waits [backoff·2^k] *)
-}
-
-val default_supervisor : supervisor_config
-(** 5 s budget, 3 retries, 50 ms base backoff. *)
-
-type replan_outcome = {
-  retries : int;  (** retry attempts actually used *)
-  fell_back : bool;  (** true when the last feasible plan was restored *)
-  overran : bool;  (** replan finished but blew the time budget *)
-  seconds : float;
-      (** wall-clock seconds for the whole supervised operation,
-          measured with {!Obs.Clock} *)
-  backoff_waited : float;  (** total simulated backoff wait *)
-}
-
-val supervised_replan :
-  ?config:supervisor_config ->
-  ?inject:(attempt:int -> unit) ->
-  Engine.Controller.t ->
-  replan_outcome
-(** Replan under supervision. [inject] runs at the start of each
-    attempt (attempt 0 is the initial try) — the fault-injection hook;
-    an exception it raises counts as that attempt failing. Fallbacks
-    are surfaced through {!Engine.Counters} as a fallback plus a
-    recovery. *)
-
 val run :
   rng:Prelude.Rng.t ->
   ?duration:float ->
   ?join_rate:float ->
   ?mean_dwell:float ->
-  ?epoch:Engine.Controller.epoch_policy ->
   ?churn:Engine.Churn.params ->
   ?faults:Engine.Fault.schedule ->
-  ?supervisor:supervisor_config ->
   ?batch:int ->
-  Mmd.Instance.t ->
+  Engine.S.t ->
   stats
-(** Defaults: duration 1000, join rate 0.2, mean dwell 400, epoch
-    policy [Drift 0.05]. The instance's own users form the initial
-    population (they churn out too); its streams are the fixed
-    catalog.
+(** Defaults: duration 1000, join rate 0.2, mean dwell 400. The
+    engine's current population is the initial one (it churns out
+    too); its streams are the fixed catalog. Join specs are drawn
+    against the engine's [view], so a router (whose view is its global
+    mirror) sees the same workload at every shard count. The engine's
+    own epoch policy decides when it replans; [run] neither forces a
+    final replan nor closes the engine, so mode-specific figures
+    (failovers, shard counts, cross-shard loss) are read from the
+    engine the caller passed in.
 
-    [batch] (default 1) routes departures through
-    {!Engine.Controller.apply_batch} on a deferred buffer of at most
-    [batch] deltas. The buffer drains before every utility
-    observation, so stats are bit-identical at every [batch] — the
-    utility-time integral samples at each event, which closes the
-    coalescing window at the next event boundary; the real batch
-    throughput win belongs to the replay paths (CLI [--batch]), not
-    the event-driven simulation. Joins always apply synchronously
+    [batch] (default 1) routes departures through [apply_batch] on a
+    deferred buffer of at most [batch] deltas. The buffer drains before
+    every utility observation, so stats are bit-identical at every
+    [batch] — the utility-time integral samples at each event, which
+    closes the coalescing window at the next event boundary; the real
+    batch throughput win belongs to the replay paths (CLI [--batch]),
+    not the event-driven simulation. Joins always apply synchronously
     (their slot id schedules the departure), and a non-empty [faults]
     forces [batch = 1] (fault boundaries observe per-delta state).
 
     [faults] (default none) pins {!Engine.Fault} events to the run's
-    delta boundaries: budget shocks and stream outages are absorbed
-    through {!Engine.Controller.absorb_shock} (evict back to
-    feasibility, count the recovery), [Task_exn] makes the next
-    supervised replan's first attempt die inside a pool task (the
-    retry succeeds), and the storage fault kinds are no-ops here —
-    they attack the WAL/snapshot layer, which the simulation does not
-    use. All effects land in the run's {!Engine.Counters.report}. *)
-
-(** {1 Replicated run} *)
-
-type replicated_stats = {
-  rbase : stats;  (** shaped like {!run}'s, reported by the final primary *)
-  failovers : int;  (** promotions over the run *)
-  final_term : int;
-  final_primary : int;  (** replica id serving at the end *)
-  time_to_promote : float;
-      (** wall-clock seconds the most recent promotion took; 0 when no
-          failover happened *)
-  min_follower_acked : int;
-      (** lowest acked seq among live followers after the final
-          quiesce — equals [replicated_last_seq] when replication
-          fully converged *)
-  replicated_last_seq : int;  (** records the primary logged *)
-}
-
-val run_replicated :
-  rng:Prelude.Rng.t ->
-  ?duration:float ->
-  ?join_rate:float ->
-  ?mean_dwell:float ->
-  ?epoch:Engine.Controller.epoch_policy ->
-  ?churn:Engine.Churn.params ->
-  ?replicas:int ->
-  ?heartbeat_every:int ->
-  ?kill_primary_at:float ->
-  ?faults:Engine.Fault.schedule ->
-  Mmd.Instance.t ->
-  replicated_stats
-(** {!run} behind a {!Replica.Group} of [replicas] followers (default
-    2): every churn delta applies on the primary and ships to the
-    followers. [kill_primary_at] (sim seconds) stops the primary cold
-    mid-run; the heartbeat failure detector then promotes the
-    most-caught-up follower before the next delta is applied, and the
-    run continues on the new primary. [faults] fires through
-    {!Replica.Chaos.fire} at delta boundaries, so the replication
-    fault kinds (frame drop/dup/reorder/truncate, crashes, heartbeat
-    partitions) are live here, along with budget shocks and outages;
-    [Task_exn] and the storage kinds are no-ops. The run ends with a
-    quiesce, so follower convergence is checkable from
-    [min_follower_acked]. *)
-
-(** {1 Sharded run} *)
-
-type sharded_stats = {
-  base : stats;  (** aggregated across shards, shaped like {!run}'s *)
-  shard_counts : int array;  (** final active users per shard *)
-  moves : int;  (** rebalance moves executed over the whole run *)
-  sharded_utility : float;  (** sum of per-shard plan utilities *)
-  global_utility : float;
-      (** a single global solve over the router's mirror — what one
-          unsharded head-end would achieve on the same population *)
-  utility_loss : float;
-      (** [1 - sharded/global], clamped at 0; the price of partitioning
-          the budget across independent shards *)
-}
-
-val run_sharded :
-  rng:Prelude.Rng.t ->
-  ?duration:float ->
-  ?join_rate:float ->
-  ?mean_dwell:float ->
-  ?epoch:Engine.Controller.epoch_policy ->
-  ?churn:Engine.Churn.params ->
-  ?shards:int ->
-  ?tags:string array ->
-  ?split:Shard.Router.budget_split ->
-  ?rebalance_every:float ->
-  ?rebalance_k:int ->
-  Mmd.Instance.t ->
-  sharded_stats
-(** {!run} behind a {!Shard.Router}: the same Poisson churn (specs
-    drawn against the router's global mirror, so the workload is
-    independent of the shard count), plus a rebalance event every
-    [rebalance_every] sim-seconds moving at most [rebalance_k] users
-    ([Demand] routers also resplit budgets there). Defaults: 4 shards
-    on two alternating racks, [Even] split, rebalance every 100 sim-s,
-    k = 8. *)
+    delta boundaries and hands each to the engine's [fire] hook: a
+    controller absorbs shocks and survives [Task_exn] under the
+    supervisor, a replica group also takes the replication kinds — a
+    [Primary_crash] is how a simulation kills the primary mid-run. All
+    effects land in the run's {!Engine.Counters.report}. *)
 
 val policy :
   ?replan_every:int -> ?epoch:Engine.Controller.epoch_policy ->

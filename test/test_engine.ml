@@ -302,7 +302,8 @@ let test_engine_driver_run () =
   let rng = Prelude.Rng.create 5 in
   let stats =
     Simnet.Engine_driver.run ~rng ~duration:200. ~join_rate:0.3
-      ~mean_dwell:60. inst
+      ~mean_dwell:60.
+      (Engine.S.of_controller (C.create ~policy:(C.Drift 0.05) inst))
   in
   check_bool "population churned" true (stats.Simnet.Engine_driver.joins > 0);
   check_bool "departures happened" true

@@ -110,15 +110,32 @@ let qcheck_sharded_batch_identity =
     sharded_batch_identity_prop
 
 (* The DES driver's deferred-departure buffer: stats are bit-identical
-   at every batch because the buffer drains before each observation. *)
-let des_batch_identity_prop (seed, batch) =
+   at every batch because the buffer drains before each observation.
+   The same holds across the engines behind the one [run]: a 1-shard
+   router (mode 1) and a fault-free replica group (mode 2) must
+   simulate exactly what a plain controller (mode 0) does. *)
+let des_engine mode inst =
+  let policy = C.Drift 0.05 in
+  match mode with
+  | 0 -> Engine.S.of_controller (C.create ~policy inst)
+  | 1 ->
+      let map = Shard.Shard_map.create ~tags:[| "rack0" |] () in
+      Shard.Router.engine (Shard.Router.create ~policy ~map inst)
+  | _ -> Replica.Chaos.engine (Replica.Group.create ~policy ~replicas:2 inst)
+
+let des_batch_identity_prop (seed, batch, mode) =
   let inst, _ = world seed in
-  let run batch =
-    Simnet.Engine_driver.run
-      ~rng:(Prelude.Rng.create (seed * 3))
-      ~duration:400. ~join_rate:0.3 ~mean_dwell:100. ~batch inst
+  let run batch (e : Engine.S.t) =
+    let stats =
+      Simnet.Engine_driver.run
+        ~rng:(Prelude.Rng.create (seed * 3))
+        ~duration:400. ~join_rate:0.3 ~mean_dwell:100. ~batch e
+    in
+    e.close ();
+    stats
   in
-  let a = run 1 and b = run batch in
+  let a = run 1 (des_engine 0 inst) in
+  let b = run batch (des_engine mode inst) in
   a.Simnet.Engine_driver.utility_time = b.Simnet.Engine_driver.utility_time
   && a.Simnet.Engine_driver.final_utility
      = b.Simnet.Engine_driver.final_utility
@@ -128,8 +145,8 @@ let des_batch_identity_prop (seed, batch) =
      = b.Simnet.Engine_driver.report.Engine.Counters.replans
 
 let qcheck_des_batch_identity =
-  qtest ~count:15 "simulation stats bit-identical at every batch"
-    QCheck2.Gen.(pair (int_range 1 10_000) (int_range 2 64))
+  qtest ~count:30 "simulation stats bit-identical at every batch"
+    QCheck2.Gen.(triple (int_range 1 10_000) (int_range 1 64) (int_range 0 2))
     des_batch_identity_prop
 
 (* ---------- chain + compacted store: crash anywhere ---------- *)

@@ -49,7 +49,7 @@ let test_supervised_replan_wall_time () =
   let inst = random_mmd ~seed:5 ~num_streams:20 ~num_users:12 ~m:1 ~mc:1 ~skew:2. in
   let ctrl = C.create ~policy:C.Manual inst in
   let outcome =
-    Simnet.Engine_driver.supervised_replan
+    Engine.Supervisor.supervised_replan
       ~inject:(fun ~attempt:_ -> Unix.sleepf 0.05)
       ctrl
   in

@@ -580,19 +580,24 @@ let test_sharded_replication () =
 
 let test_simnet_run_replicated () =
   let inst = random_mmd ~seed:5 ~num_streams:15 ~num_users:8 ~m:2 ~mc:1 ~skew:1.0 in
-  let stats =
-    Simnet.Engine_driver.run_replicated
+  let g = G.create ~policy:(C.Drift 0.05) ~replicas:2 inst in
+  let _ : Simnet.Engine_driver.stats =
+    Simnet.Engine_driver.run
       ~rng:(Prelude.Rng.create 99)
-      ~duration:300. ~replicas:2 ~kill_primary_at:150. inst
+      ~duration:300.
+      ~faults:[ { F.at = 30; kind = F.Primary_crash } ]
+      (Chaos.engine g)
   in
-  check_bool "failover happened" true (stats.Simnet.Engine_driver.failovers >= 1);
-  check_bool "promoted a follower" true
-    (stats.Simnet.Engine_driver.final_primary > 0);
-  check_bool "followers converged" true
-    (stats.Simnet.Engine_driver.min_follower_acked
-    = stats.Simnet.Engine_driver.replicated_last_seq);
-  check_bool "time to promote measured" true
-    (stats.Simnet.Engine_driver.time_to_promote > 0.)
+  ignore (G.quiesce g);
+  let min_acked =
+    List.fold_left
+      (fun acc id -> match G.acked g id with Some a -> min acc a | None -> acc)
+      max_int (G.live_followers g)
+  in
+  check_bool "failover happened" true (G.failovers g >= 1);
+  check_bool "promoted a follower" true (G.primary_id g > 0);
+  check_bool "followers converged" true (min_acked = G.last_seq g);
+  check_bool "time to promote measured" true (G.last_promote_seconds g > 0.)
 
 (* ---------- Lag metrics exported ---------- *)
 

@@ -343,15 +343,15 @@ let test_supervisor_retries_transient_fault () =
   let ctrl = C.create ~policy:C.Manual inst in
   C.apply_all ctrl log;
   let outcome =
-    Simnet.Engine_driver.supervised_replan
+    Engine.Supervisor.supervised_replan
       ~inject:(fun ~attempt ->
         if attempt < 2 then Engine.Fault.raise_in_pool ())
       ctrl
   in
-  check_int "two retries used" 2 outcome.Simnet.Engine_driver.retries;
-  check_bool "no fallback" false outcome.Simnet.Engine_driver.fell_back;
+  check_int "two retries used" 2 outcome.Engine.Supervisor.retries;
+  check_bool "no fallback" false outcome.Engine.Supervisor.fell_back;
   check_bool "backoff accumulated" true
-    (outcome.Simnet.Engine_driver.backoff_waited > 0.);
+    (outcome.Engine.Supervisor.backoff_waited > 0.);
   check_bool "plan feasible" true (C.is_plan_feasible ctrl);
   let scratch_util, _ = C.scratch (C.view ctrl) in
   check_float_loose "replan completed on the retry" scratch_util
@@ -364,14 +364,14 @@ let test_supervisor_falls_back_on_persistent_fault () =
   let before = plan_text ctrl in
   let u_before = C.utility ctrl in
   let outcome =
-    Simnet.Engine_driver.supervised_replan
+    Engine.Supervisor.supervised_replan
       ~config:
-        { Simnet.Engine_driver.default_supervisor with max_retries = 2 }
+        { Engine.Supervisor.default_supervisor with max_retries = 2 }
       ~inject:(fun ~attempt:_ -> Engine.Fault.raise_in_pool ())
       ctrl
   in
-  check_bool "fell back" true outcome.Simnet.Engine_driver.fell_back;
-  check_int "all retries burned" 2 outcome.Simnet.Engine_driver.retries;
+  check_bool "fell back" true outcome.Engine.Supervisor.fell_back;
+  check_int "all retries burned" 2 outcome.Engine.Supervisor.retries;
   check_bool "last feasible plan restored" true (plan_text ctrl = before);
   check_float "utility preserved" u_before (C.utility ctrl);
   check_bool "plan feasible" true (C.is_plan_feasible ctrl);
@@ -391,7 +391,8 @@ let test_chaos_simulation_run () =
   in
   let stats =
     Simnet.Engine_driver.run ~rng ~duration:300. ~join_rate:0.3
-      ~mean_dwell:80. ~faults inst
+      ~mean_dwell:80. ~faults
+      (Engine.S.of_controller (C.create ~policy:(C.Drift 0.05) inst))
   in
   check_bool "faults were injected" true
     (stats.Simnet.Engine_driver.report.Engine.Counters.faults > 0);
