@@ -194,7 +194,8 @@ let run () =
   let rtable =
     T.create
       [ ("deltas", T.Right); ("full replay (ms)", T.Right);
-        ("snap+tail (ms)", T.Right); ("chain+tail (ms)", T.Right);
+        ("snap+tail (ms)", T.Right); ("snapshot (B)", T.Right);
+        ("chain+tail (ms)", T.Right);
         ("chooser", T.Left); ("speedup", T.Right);
         ("bit-identical", T.Left) ]
   in
@@ -307,11 +308,13 @@ let run () =
              = Mmd.Io.assignment_to_string (C.plan reference)
         in
         let bit_identical = same snap_restored && same chain_restored in
+        let snap_bytes = (Unix.stat snap_path).Unix.st_size in
         let chooser = Engine.Recovery.choice_to_string est.Engine.Recovery.choice in
         T.add_row rtable
           [ T.cell_i deltas;
             Printf.sprintf "%.3f" (1000. *. full_seconds);
             Printf.sprintf "%.3f" (1000. *. snap_seconds);
+            T.cell_i snap_bytes;
             Printf.sprintf "%.3f" (1000. *. chain_seconds);
             chooser;
             Printf.sprintf "%.2fx" speedup;
@@ -324,18 +327,18 @@ let run () =
           (fun f -> Sys.remove (Filename.concat dir f))
           (Sys.readdir dir);
         Unix.rmdir dir;
-        (deltas, crash_at, every, full_seconds, snap_seconds, chain_seconds,
-         chooser, speedup, bit_identical))
+        (deltas, crash_at, every, full_seconds, snap_seconds, snap_bytes,
+         chain_seconds, chooser, speedup, bit_identical))
       lengths
   in
   T.print rtable;
   let bit_identical =
-    List.for_all (fun (_, _, _, _, _, _, _, _, id) -> id) recovery_sweep
+    List.for_all (fun (_, _, _, _, _, _, _, _, _, id) -> id) recovery_sweep
   in
   let recovery_all_gt_1 =
     bit_identical
     && List.for_all
-         (fun (_, _, _, _, _, _, _, speedup, _) -> speedup > 1.0)
+         (fun (_, _, _, _, _, _, _, _, speedup, _) -> speedup > 1.0)
          recovery_sweep
   in
   Printf.printf
@@ -369,15 +372,16 @@ let run () =
           sweep))
     (String.concat ",\n"
        (List.map
-          (fun (d, crash_at, every, full_s, snap_s, chain_s, chooser, speedup,
-                id) ->
+          (fun (d, crash_at, every, full_s, snap_s, snap_b, chain_s, chooser,
+                speedup, id) ->
             Printf.sprintf
               "    { \"deltas\": %d, \"crash_at\": %d, \
                \"checkpoint_every\": %d, \"full_replay_seconds\": %.6f, \
                \"snapshot_recovery_seconds\": %.6f, \
+               \"snapshot_bytes\": %d, \
                \"chain_recovery_seconds\": %.6f, \"chooser\": \"%s\", \
                \"speedup\": %.3f, \"bit_identical\": %b }"
-              d crash_at every full_s snap_s chain_s chooser speedup id)
+              d crash_at every full_s snap_s snap_b chain_s chooser speedup id)
           recovery_sweep))
     recovery_all_gt_1 bit_identical;
   close_out oc;

@@ -28,7 +28,8 @@
                     --rebalance-k --replicas --heartbeat-every
 
    Any other flag is rejected before the run starts, with an error
-   naming the flag and the mode. The multi-process replica modes
+   naming the flag and the mode; so is --snapshot-in without --wal-dir
+   unless --deltas is a WAL. The multi-process replica modes
    (--replica-listen / --replica-connect / --replica-supervise) have
    their own loops.
 
@@ -993,6 +994,19 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
     let feeds = Proc_primary :: Supervisor :: local in
     let controller = [ Single; Replicated ] in
     let procs = [ Proc_primary; Supervisor ] in
+    (* --snapshot-in prices restore + tail against a replay of the WAL
+       it comes with. A plain log carries no sequence numbers, so a
+       snapshot-resumed replay would apply the deltas the snapshot
+       covers a second time; generated churn has no history at all. *)
+    let deltas_are_wal =
+      match deltas_in with
+      | Some path when snapshot_in <> None && wal_dir = None -> (
+          try
+            In_channel.with_open_bin path In_channel.input_line
+            |> Option.fold ~none:false ~some:Engine.Wal.is_wal
+          with Sys_error _ -> true)
+      | _ -> true
+    in
     check_flags mode
       ~flags:
         [ ("--deltas", deltas_in <> None, feeds);
@@ -1038,6 +1052,8 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
             "--wal-dir", wal_dir <> None );
           ( "--snapshot-every", snapshot_every <> None,
             "--snapshot-out", snapshot_out <> None );
+          ( "--snapshot-in", snapshot_in <> None && wal_dir = None,
+            "--deltas to be a WAL", deltas_in <> None && deltas_are_wal );
           ( "--deltas-out", deltas_out <> None,
             "--gen-deltas", gen_deltas <> None && deltas_in = None );
           ( "--heartbeat-every", heartbeat_every <> None,
@@ -1187,7 +1203,9 @@ let snapshot_in =
            full from-scratch replay, take the cheaper path, and record the \
            choice in the counters (exported as \
            $(b,engine_recovery_path_total)). A missing or damaged snapshot \
-           degrades to the full replay.")
+           degrades to the full replay. Without $(b,--wal-dir), a plain \
+           or missing $(b,--deltas) is rejected: a plain log has no \
+           sequence numbers to skip the covered deltas by.")
 
 let snapshot_out =
   Arg.(

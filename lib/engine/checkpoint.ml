@@ -1,12 +1,13 @@
 (* Incremental snapshots: an append-only chain of delta-encoded
-   checkpoint increments.
+   checkpoint increments — and the engine's only encoding of
+   controller state (a Snapshot is one full increment over a
+   catalog-only instance).
 
-   A full Snapshot v2 is dominated by the dense materialized instance
-   — num_slots x num_streams utility and load matrices — which is why
-   BENCH_resilience historically showed snapshot recovery LOSING to
-   full WAL replay (0.59x at 4k deltas): parsing the dense matrices
-   costs more than replaying the log. A checkpoint increment never
-   writes the dense view. Instead it records
+   A dense materialized instance — num_slots x num_streams utility and
+   load matrices — costs more to parse than replaying the log it
+   summarizes (BENCH_resilience once measured dense-snapshot recovery
+   at 0.59x of full WAL replay at 4k deltas). An increment never writes
+   the dense view. Instead it records
 
    - the view {e diff} since the parent increment: the final spec of
      every slot that churned in the window, the slots freed, changed
@@ -15,8 +16,7 @@
      the live view exactly;
    - the {e full} controller/planner state, which is small: the plan
      (delivered sets), the admitted set, the path-dependent float
-     accumulators in hex (same encodings as Snapshot v2), counters,
-     histograms and the epoch phase.
+     accumulators in hex, counters, histograms and the epoch phase.
 
    Recovery is [View.of_instance] on the initial instance (an
    in-memory copy, free), the view diffs applied in order, and the
@@ -59,58 +59,73 @@ let float_tok what tok =
 
 type frame = { covers : int; body : string }
 
+type frame_error =
+  | Bad_header of string
+  | Truncated of { have : int; want : int }
+  | Corrupt of { stored : string; actual : string }
+
+let frame_header ~tag ~covers body =
+  Printf.sprintf "%s %d %d %s\n" tag covers (String.length body)
+    (Prelude.Crc32.to_hex (Prelude.Crc32.digest body))
+
+let line_end text pos =
+  Option.value
+    (String.index_from_opt text pos '\n')
+    ~default:(String.length text)
+
+let read_frame ~tag text pos =
+  let len = String.length text in
+  let hdr_end = line_end text pos in
+  let hdr = String.sub text pos (hdr_end - pos) in
+  let fields =
+    let n = String.length tag in
+    if String.length hdr > n && String.sub hdr 0 n = tag && hdr.[n] = ' '
+    then
+      String.split_on_char ' ' (String.sub hdr n (String.length hdr - n))
+      |> List.filter (fun s -> s <> "")
+    else []
+  in
+  match fields with
+  | [ covers; blen; crc ] -> (
+      match
+        ( int_of_string_opt covers,
+          int_of_string_opt blen,
+          Prelude.Crc32.of_hex crc )
+      with
+      | Some covers, Some want, Some stored when want >= 0 ->
+          let start = hdr_end + 1 in
+          let have = max 0 (len - start) in
+          if have < want then Error (Truncated { have; want })
+          else
+            let body = String.sub text start want in
+            let actual = Prelude.Crc32.digest body in
+            if actual <> stored then
+              Error
+                (Corrupt { stored = crc; actual = Prelude.Crc32.to_hex actual })
+            else Ok ({ covers; body }, start + want)
+      | _ -> Error (Bad_header hdr))
+  | _ -> Error (Bad_header hdr)
+
 (* Split the chain into CRC-validated frames. Returns the valid prefix
    and whether a torn/corrupt suffix was discarded. *)
 let scan_frames text =
   let len = String.length text in
-  let line_end pos =
-    match String.index_from_opt text pos '\n' with
-    | Some i -> i
-    | None -> len
-  in
-  let first_nl = line_end 0 in
+  let first_nl = line_end text 0 in
   if first_nl >= len || String.sub text 0 first_nl <> magic then
     Error "not a checkpoint chain (bad magic)"
-  else begin
-    let frames = ref [] and torn = ref false in
-    let pos = ref (first_nl + 1) in
-    (try
-       while !pos < len do
-         let hdr_end = line_end !pos in
-         let hdr = String.sub text !pos (hdr_end - !pos) in
-         if String.trim hdr = "" then pos := hdr_end + 1
-         else begin
-           (match
-              String.split_on_char ' ' hdr |> List.filter (fun s -> s <> "")
-            with
-           | [ "I"; covers; blen; crc ] ->
-               let covers =
-                 match int_of_string_opt covers with
-                 | Some c -> c
-                 | None -> raise Exit
-               in
-               let blen =
-                 match int_of_string_opt blen with
-                 | Some l when l >= 0 -> l
-                 | _ -> raise Exit
-               in
-               let stored =
-                 match Prelude.Crc32.of_hex crc with
-                 | Some c -> c
-                 | None -> raise Exit
-               in
-               let body_start = hdr_end + 1 in
-               if body_start + blen > len then raise Exit;
-               let body = String.sub text body_start blen in
-               if Prelude.Crc32.digest body <> stored then raise Exit;
-               frames := { covers; body } :: !frames;
-               pos := body_start + blen
-           | _ -> raise Exit)
-         end
-       done
-     with Exit -> torn := true);
-    Ok (List.rev !frames, !torn)
-  end
+  else
+    let rec go pos acc =
+      if pos >= len then (List.rev acc, false)
+      else
+        let hdr_end = line_end text pos in
+        if String.trim (String.sub text pos (hdr_end - pos)) = "" then
+          go (hdr_end + 1) acc
+        else
+          match read_frame ~tag:"I" text pos with
+          | Ok (frame, next) -> go next (frame :: acc)
+          | Error _ -> (List.rev acc, true)
+    in
+    Ok (go (first_nl + 1) [])
 
 let read_all path =
   match open_in_bin path with
@@ -136,24 +151,38 @@ let peek path =
 (* ------------------------------------------------------------------ *)
 (* Writer *)
 
+(* What changed since the parent increment. *)
+type dirty = {
+  slots : (int, unit) Hashtbl.t;
+  costs : (int, unit) Hashtbl.t;
+  mutable budget : bool;
+  mutable all_costs : bool;
+}
+
 type writer = {
   path : string;
   oc : out_channel;
-  dirty_slots : (int, unit) Hashtbl.t;
-  dirty_costs : (int, unit) Hashtbl.t;
-  mutable dirty_budget : bool;
-  mutable all_costs : bool;
+  dirty : dirty;
   mutable covered : int;
   mutable increments : int;
 }
 
-let dirty_everything w (ctrl : Controller.t) =
-  let view = Controller.view ctrl in
-  for u = 0 to View.num_slots view - 1 do
-    Hashtbl.replace w.dirty_slots u ()
+let clean () =
+  { slots = Hashtbl.create 64;
+    costs = Hashtbl.create 16;
+    budget = false;
+    all_costs = false }
+
+(* A dirty-everything increment records every active slot, every
+   inactive slot as freed, all costs, the budget and the full free
+   order, so it restores correctly on top of ANY parent state over the
+   same catalog. *)
+let dirty_everything d (ctrl : Controller.t) =
+  for u = 0 to View.num_slots (Controller.view ctrl) - 1 do
+    Hashtbl.replace d.slots u ()
   done;
-  w.all_costs <- true;
-  w.dirty_budget <- true
+  d.all_costs <- true;
+  d.budget <- true
 
 let create_writer ~path ctrl =
   let fresh = not (Sys.file_exists path) in
@@ -173,10 +202,7 @@ let create_writer ~path ctrl =
   let w =
     { path;
       oc;
-      dirty_slots = Hashtbl.create 64;
-      dirty_costs = Hashtbl.create 16;
-      dirty_budget = false;
-      all_costs = false;
+      dirty = clean ();
       covered = prior_covered;
       increments = prior_increments }
   in
@@ -184,29 +210,26 @@ let create_writer ~path ctrl =
      a fresh file, the initial instance at zero deltas. Whenever the
      controller is anywhere else (resumed past the last increment, or
      a fresh chain for a warm controller), the first increment must
-     carry the whole distance: a dirty-everything increment records
-     every active slot, every inactive slot as freed, all costs, the
-     budget and the full free order, so it restores correctly on top
-     of ANY parent state. *)
+     carry the whole distance. *)
   if Controller.deltas_applied ctrl <> prior_covered || (fresh && prior_covered > 0)
-  then dirty_everything w ctrl;
+  then dirty_everything w.dirty ctrl;
   w
 
 let note w (applied : View.applied) =
   match applied with
-  | View.Joined u | View.Left u -> Hashtbl.replace w.dirty_slots u ()
-  | View.Cost_changed s -> Hashtbl.replace w.dirty_costs s ()
+  | View.Joined u | View.Left u -> Hashtbl.replace w.dirty.slots u ()
+  | View.Cost_changed s -> Hashtbl.replace w.dirty.costs s ()
   | View.Budgets_resized ->
       (* A resize clamps every cost row, so they are all dirty. *)
-      w.dirty_budget <- true;
-      w.all_costs <- true
+      w.dirty.budget <- true;
+      w.dirty.all_costs <- true
 
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
 let m_checkpoint_seconds = lazy (Obs.Metrics.histogram "checkpoint_write_seconds")
 let m_checkpoint_bytes = lazy (Obs.Metrics.counter "checkpoint_bytes_total")
 
-let body_of w ctrl =
+let body_of d ctrl =
   let view = Controller.view ctrl in
   let planner = Controller.planner ctrl in
   let mc = View.mc view and m = View.m view in
@@ -215,31 +238,28 @@ let body_of w ctrl =
   let floats a =
     String.concat "" (List.map (Printf.sprintf " %h") (Array.to_list a))
   in
+  let ints l = String.concat "" (List.map (Printf.sprintf " %d") l) in
   addf "nslots %d\n" (View.num_slots view);
   addf "policy %s\n" (Controller.policy_to_string (Controller.policy ctrl));
   (match Controller.pinned ctrl with
   | [] -> ()
-  | pinned ->
-      addf "pinned%s\n"
-        (String.concat "" (List.map (Printf.sprintf " %d") pinned)));
-  if w.dirty_budget then
+  | pinned -> addf "pinned%s\n" (ints pinned));
+  if d.budget then
     addf "budget%s\n"
       (floats (Array.init m (fun i -> View.budget view i)));
   let cost_rows =
-    if w.all_costs then List.init (View.num_streams view) Fun.id
-    else sorted_keys w.dirty_costs
+    if d.all_costs then List.init (View.num_streams view) Fun.id
+    else sorted_keys d.costs
   in
   List.iter
     (fun s ->
       addf "cost %d%s\n" s
         (floats (Array.init m (fun i -> View.server_cost view s i))))
     cost_rows;
-  let dirty = sorted_keys w.dirty_slots in
-  let freed = List.filter (fun u -> not (View.is_active view u)) dirty in
-  (match freed with
+  let dirty = sorted_keys d.slots in
+  (match List.filter (fun u -> not (View.is_active view u)) dirty with
   | [] -> ()
-  | _ ->
-      addf "freed%s\n" (String.concat "" (List.map (Printf.sprintf " %d") freed)));
+  | freed -> addf "freed%s\n" (ints freed));
   List.iter
     (fun u ->
       if View.is_active view u then begin
@@ -256,9 +276,7 @@ let body_of w ctrl =
         addf "\n"
       end)
     dirty;
-  addf "free%s\n"
-    (String.concat ""
-       (List.map (Printf.sprintf " %d") (View.free_list view)));
+  addf "free%s\n" (ints (View.free_list view));
   let j, l, c, b, r, e = Counters.fields (Controller.counters ctrl) in
   let ft, q, rec_, fb = Counters.resilience_fields (Controller.counters ctrl) in
   addf "counters %d %d %d %d %d %d %d %d %d %d %d %d %d\n" j l c b r e
@@ -281,26 +299,27 @@ let body_of w ctrl =
     pslots;
   (match Planner.admitted planner with
   | [] -> ()
-  | streams ->
-      addf "admitted%s\n"
-        (String.concat "" (List.map (Printf.sprintf " %d") streams)));
+  | streams -> addf "admitted%s\n" (ints streams));
   addf "%%%%plan\n%s" (Mmd.Io.assignment_to_string (Controller.plan ctrl));
   Buffer.contents buf
+
+let full_increment ctrl =
+  let d = clean () in
+  dirty_everything d ctrl;
+  body_of d ctrl
 
 let checkpoint w ctrl =
   Obs.Span.with_ ~name:"checkpoint.write" (fun () ->
       let t0 = Obs.Clock.now () in
-      let body = body_of w ctrl in
-      Printf.fprintf w.oc "I %d %d %s\n"
-        (Controller.deltas_applied ctrl)
-        (String.length body)
-        (Prelude.Crc32.to_hex (Prelude.Crc32.digest body));
+      let body = body_of w.dirty ctrl in
+      output_string w.oc
+        (frame_header ~tag:"I" ~covers:(Controller.deltas_applied ctrl) body);
       output_string w.oc body;
       flush w.oc;
-      Hashtbl.reset w.dirty_slots;
-      Hashtbl.reset w.dirty_costs;
-      w.dirty_budget <- false;
-      w.all_costs <- false;
+      Hashtbl.reset w.dirty.slots;
+      Hashtbl.reset w.dirty.costs;
+      w.dirty.budget <- false;
+      w.dirty.all_costs <- false;
       w.covered <- Controller.deltas_applied ctrl;
       w.increments <- w.increments + 1;
       Obs.Metrics.inc
@@ -319,24 +338,23 @@ let writer_path w = w.path
 (* Reading *)
 
 type parsed = {
-  p_covers : int;
-  p_nslots : int;
-  p_policy : Controller.epoch_policy;
-  p_pinned : int list;
-  p_budget : float array option;
-  p_costs : (int * float array) list;
-  p_freed : int list;
-  p_slots : (int * Delta.user_spec) list;
-  p_free : int list;
-  p_counters : (int * int * int * int * int * int * int * int * int) option;
-  p_resilience : (int * int * int * int) option;
-  p_epoch : (int * float) option;
-  p_replan_hist : Obs.Hist.t option;
-  p_recovery_hist : Obs.Hist.t option;
-  p_pstate : (float * float array) option;
-  p_pslots : (int * (float * float * float array)) list;
-  p_admitted : int list option;
-  p_plan : string;
+  nslots : int;
+  policy : Controller.epoch_policy;
+  pinned : int list;
+  budget : float array option;
+  costs : (int * float array) list;
+  freed : int list;
+  slots : (int * Delta.user_spec) list;
+  free : int list;
+  counters : int * int * int * int * int * int * int * int;
+  resilience : int * int * int * int;
+  epoch : int * float;
+  replan_hist : Obs.Hist.t option;
+  recovery_hist : Obs.Hist.t option;
+  pstate : float * float array;
+  pslots : (float * float * float array) array;
+  admitted : int list;
+  plan : string;
 }
 
 let parse_slot_line ~mc = function
@@ -377,127 +395,187 @@ let parse_slot_line ~mc = function
           interests = ints } )
   | _ -> fail "bad slot line"
 
-let parse_frame ~mc { covers; body } =
-  let lines = String.split_on_char '\n' body in
+(* The one decoder for controller state. Every line but the sparse ones
+   (pinned, budget, cost, freed, slot, hist, admitted) is required; the
+   pslot array is filled as the lines arrive, one line per slot. *)
+let decode ~mc { covers; body } =
   let header, plan_lines =
     let rec split acc = function
       | [] -> fail "increment missing %%plan section"
       | "%%plan" :: rest -> (List.rev acc, rest)
       | line :: rest -> split (line :: acc) rest
     in
-    split [] lines
+    split [] (String.split_on_char '\n' body)
   in
   let nslots = ref None in
-  let policy = ref (Controller.Every 64) in
+  let policy = ref None in
   let pinned = ref [] in
   let budget = ref None in
   let costs = ref [] in
   let freed = ref [] in
   let slots = ref [] in
-  let free_order = ref [] in
+  let free_order = ref None in
   let counters = ref None in
-  let resilience = ref None in
   let epoch = ref None in
   let replan_hist = ref None in
   let recovery_hist = ref None in
   let pstate = ref None in
-  let pslots = ref [] in
-  let admitted = ref None in
+  let pslots = ref [||] in
+  let admitted = ref [] in
   List.iter
     (fun line ->
-      if String.trim line <> "" then
-        match
-          String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-        with
-        | [ "nslots"; n ] -> nslots := Some (int_tok "nslots" n)
-        | "policy" :: spec -> (
-            match Controller.policy_of_string (String.concat ":" spec) with
-            | Ok p -> policy := p
-            | Error msg -> fail "%s" msg)
-        | "pinned" :: ids -> pinned := List.map (int_tok "pinned id") ids
-        | "budget" :: bs ->
-            budget := Some (Array.of_list (List.map (float_tok "budget") bs))
-        | "cost" :: s :: cs ->
-            costs :=
-              ( int_tok "cost stream" s,
-                Array.of_list (List.map (float_tok "cost") cs) )
-              :: !costs
-        | "freed" :: ids -> freed := List.map (int_tok "freed slot") ids
-        | "slot" :: rest -> slots := parse_slot_line ~mc rest :: !slots
-        | "free" :: ids -> free_order := List.map (int_tok "free slot") ids
-        | "counters" :: fields -> (
-            match List.map (int_tok "counter") fields with
-            | [ j; l; c; b; r; e; evals; eager; deltas; ft; q; rec_; fb ] ->
-                counters := Some (j, l, c, b, r, e, evals, eager, deltas);
-                resilience := Some (ft, q, rec_, fb)
-            | _ -> fail "counters expects 13 fields")
-        | [ "epoch"; since; util ] ->
-            epoch :=
-              Some (int_tok "epoch phase" since, float_tok "epoch utility" util)
-        | "hist" :: which :: encoded -> (
-            match Obs.Hist.decode (String.concat " " encoded) with
-            | Error msg -> fail "bad %s histogram: %s" which msg
-            | Ok h -> (
-                match which with
-                | "replan" -> replan_hist := Some h
-                | "recovery" -> recovery_hist := Some h
-                | other -> fail "unknown histogram %S" other))
-        | "pstate" :: total :: used ->
-            pstate :=
-              Some
-                ( float_tok "planner total" total,
-                  Array.of_list (List.map (float_tok "planner used") used) )
-        | "pslot" :: u :: du :: cap :: cus ->
-            pslots :=
-              ( int_tok "planner slot" u,
-                ( float_tok "slot delivered utility" du,
-                  float_tok "slot capped utility" cap,
-                  Array.of_list (List.map (float_tok "slot capacity used") cus)
-                ) )
-              :: !pslots
-        | "admitted" :: ids ->
-            admitted := Some (List.map (int_tok "admitted stream") ids)
-        | kw :: _ -> fail "unknown increment keyword %S" kw
-        | [] -> ())
+      match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+      | [] -> ()
+      | [ "nslots"; n ] ->
+          let n = int_tok "nslots" n in
+          if n < 0 then fail "negative nslots %d" n;
+          nslots := Some n;
+          pslots := Array.make n None
+      | "policy" :: spec -> (
+          match Controller.policy_of_string (String.concat ":" spec) with
+          | Ok p -> policy := Some p
+          | Error msg -> fail "%s" msg)
+      | "pinned" :: ids -> pinned := List.map (int_tok "pinned id") ids
+      | "budget" :: bs ->
+          budget := Some (Array.of_list (List.map (float_tok "budget") bs))
+      | "cost" :: s :: cs ->
+          costs :=
+            ( int_tok "cost stream" s,
+              Array.of_list (List.map (float_tok "cost") cs) )
+            :: !costs
+      | "freed" :: ids -> freed := List.map (int_tok "freed slot") ids
+      | "slot" :: rest -> slots := parse_slot_line ~mc rest :: !slots
+      | "free" :: ids -> free_order := Some (List.map (int_tok "free slot") ids)
+      | "counters" :: fields -> (
+          match List.map (int_tok "counter") fields with
+          | [ j; l; c; b; r; e; evals; eager; deltas; ft; q; rec_; fb ] ->
+              if deltas <> covers then
+                fail "counters cover %d deltas but the frame covers %d" deltas
+                  covers;
+              counters :=
+                Some ((j, l, c, b, r, e, evals, eager), (ft, q, rec_, fb))
+          | _ -> fail "counters expects 13 fields")
+      | [ "epoch"; since; util ] ->
+          epoch :=
+            Some (int_tok "epoch phase" since, float_tok "epoch utility" util)
+      | "hist" :: which :: encoded -> (
+          match Obs.Hist.decode (String.concat " " encoded) with
+          | Error msg -> fail "bad %s histogram: %s" which msg
+          | Ok h -> (
+              match which with
+              | "replan" -> replan_hist := Some h
+              | "recovery" -> recovery_hist := Some h
+              | other -> fail "unknown histogram %S" other))
+      | "pstate" :: total :: used ->
+          pstate :=
+            Some
+              ( float_tok "planner total" total,
+                Array.of_list (List.map (float_tok "planner used") used) )
+      | "pslot" :: u :: du :: cap :: cus ->
+          let u = int_tok "planner slot" u in
+          if u < 0 || u >= Array.length !pslots then
+            fail "pslot line for slot %d outside nslots %d" u
+              (Array.length !pslots);
+          if !pslots.(u) <> None then fail "duplicate pslot line for slot %d" u;
+          !pslots.(u) <-
+            Some
+              ( float_tok "slot delivered utility" du,
+                float_tok "slot capped utility" cap,
+                Array.of_list (List.map (float_tok "slot capacity used") cus) )
+      | "admitted" :: ids ->
+          admitted := List.map (int_tok "admitted stream") ids
+      | kw :: _ -> fail "unknown increment keyword %S" kw)
     header;
-  { p_covers = covers;
-    p_nslots =
-      (match !nslots with
-      | Some n -> n
-      | None -> fail "increment missing nslots");
-    p_policy = !policy;
-    p_pinned = !pinned;
-    p_budget = !budget;
-    p_costs = List.rev !costs;
-    p_freed = !freed;
-    p_slots = List.rev !slots;
-    p_free = !free_order;
-    p_counters = !counters;
-    p_resilience = !resilience;
-    p_epoch = !epoch;
-    p_replan_hist = !replan_hist;
-    p_recovery_hist = !recovery_hist;
-    p_pstate = !pstate;
-    p_pslots = !pslots;
-    p_admitted = !admitted;
-    p_plan = String.concat "\n" plan_lines ^ "\n" }
+  let need what = function
+    | Some x -> x
+    | None -> fail "increment missing %s line" what
+  in
+  let counters, resilience = need "counters" !counters in
+  { nslots = need "nslots" !nslots;
+    policy = need "policy" !policy;
+    pinned = !pinned;
+    budget = !budget;
+    costs = List.rev !costs;
+    freed = !freed;
+    slots = List.rev !slots;
+    free = need "free" !free_order;
+    counters;
+    resilience;
+    epoch = need "epoch" !epoch;
+    replan_hist = !replan_hist;
+    recovery_hist = !recovery_hist;
+    pstate = need "pstate" !pstate;
+    pslots =
+      Array.mapi
+        (fun u -> function
+          | Some s -> s
+          | None -> fail "slot %d has no pslot line" u)
+        !pslots;
+    admitted = !admitted;
+    plan = String.concat "\n" plan_lines ^ "\n" }
 
 (* Apply one increment's view diff. Budget first, then cost rows —
    both through the ordinary delta path: the recorded values are the
    {e final} clamped state, so the clamp View.apply re-runs is a
    no-op. Then slot churn, then the free order. *)
 let apply_view_diff view p =
-  View.ensure_slots_raw view p.p_nslots;
-  (match p.p_budget with
-  | Some b -> ignore (View.apply view (Delta.Budget_resize b))
-  | None -> ());
+  View.ensure_slots_raw view p.nslots;
+  Option.iter
+    (fun b -> ignore (View.apply view (Delta.Budget_resize b)))
+    p.budget;
   List.iter
     (fun (s, costs) ->
       ignore (View.apply view (Delta.Stream_cost_change { stream = s; costs })))
-    p.p_costs;
-  List.iter (fun u -> View.clear_slot_raw view u) p.p_freed;
-  List.iter (fun (u, spec) -> View.restore_slot view u spec) p.p_slots;
-  View.set_free_raw view p.p_free
+    p.costs;
+  List.iter (fun u -> View.clear_slot_raw view u) p.freed;
+  List.iter (fun (u, spec) -> View.restore_slot view u spec) p.slots;
+  View.set_free_raw view p.free
+
+(* Build the controller from one increment's state around [view]. *)
+let install view ~covers p =
+  let plan =
+    Mmd.Io.assignment_of_string ~num_users:(View.num_slots view) p.plan
+  in
+  let since_replan, utility_at_replan = p.epoch in
+  let ctrl =
+    Controller.of_state ~since_replan ~deltas_applied:covers ~utility_at_replan
+      ~admitted:p.admitted ~policy:p.policy ~pinned:p.pinned ~view ~plan ()
+  in
+  let cs = Controller.counters ctrl in
+  let ( joins, leaves, cost_changes, budget_resizes, replans, evictions,
+        evals, eager ) =
+    p.counters
+  in
+  Counters.restore cs ~joins ~leaves ~cost_changes ~budget_resizes ~replans
+    ~evictions;
+  Planner.add_evals (Controller.planner ctrl) ~evals ~eager_equiv:eager;
+  let faults, quarantined, recoveries, fallbacks = p.resilience in
+  Counters.restore_resilience cs ~faults ~quarantined ~recoveries ~fallbacks;
+  Option.iter (Counters.set_replan_hist cs) p.replan_hist;
+  Option.iter (Counters.set_recovery_hist cs) p.recovery_hist;
+  let total, used = p.pstate in
+  Planner.set_float_state (Controller.planner ctrl) ~total ~used
+    ~slots:p.pslots;
+  ctrl
+
+(* Every frame's diff in order, then the last frame's controller state.
+   [frames] is non-empty. *)
+let restore_frames view frames =
+  let rec go = function
+    | [] -> invalid_arg "Checkpoint: no frames"
+    | frame :: rest ->
+        let p = decode ~mc:(View.mc view) frame in
+        apply_view_diff view p;
+        if rest = [] then install view ~covers:frame.covers p else go rest
+  in
+  go frames
+
+let guard f =
+  try Ok (f ()) with
+  | Parse_error msg | Invalid_argument msg | Failure msg -> Error msg
+
+let restore_increment view ~covers body =
+  guard (fun () -> restore_frames view [ { covers; body } ])
 
 type recovered = {
   ctrl : Controller.t;
@@ -508,86 +586,16 @@ type recovered = {
 
 let recover ~instance ~path =
   Obs.Span.with_ ~name:"checkpoint.recover" (fun () ->
-      match read_all path with
-      | None ->
-          Error (Printf.sprintf "Checkpoint.recover: cannot read %s" path)
-      | Some text -> (
-          match scan_frames text with
-          | Error msg -> Error ("Checkpoint.recover: " ^ msg)
-          | Ok ([], _) -> Error "Checkpoint.recover: no valid increments"
-          | Ok (frames, torn) -> (
-              try
-                let view = View.of_instance instance in
-                let mc = View.mc view in
-                let last = ref None in
-                List.iter
-                  (fun frame ->
-                    let p = parse_frame ~mc frame in
-                    apply_view_diff view p;
-                    last := Some p)
-                  frames;
-                let p = Option.get !last in
-                let plan =
-                  Mmd.Io.assignment_of_string
-                    ~num_users:(View.num_slots view) p.p_plan
-                in
-                let since_replan, utility_at_replan =
-                  match p.p_epoch with
-                  | Some (s, u) -> (Some s, Some u)
-                  | None -> (None, None)
-                in
-                let deltas_applied =
-                  match p.p_counters with
-                  | Some (_, _, _, _, _, _, _, _, d) -> Some d
-                  | None -> Some p.p_covers
-                in
-                let ctrl =
-                  Controller.of_state ?since_replan ?deltas_applied
-                    ?utility_at_replan ?admitted:p.p_admitted
-                    ~policy:p.p_policy ~pinned:p.p_pinned ~view ~plan ()
-                in
-                (match p.p_counters with
-                | None -> ()
-                | Some (j, l, c, b, r, e, evals, eager, _) ->
-                    Counters.restore (Controller.counters ctrl) ~joins:j
-                      ~leaves:l ~cost_changes:c ~budget_resizes:b ~replans:r
-                      ~evictions:e;
-                    Planner.add_evals (Controller.planner ctrl) ~evals
-                      ~eager_equiv:eager);
-                (match p.p_resilience with
-                | None -> ()
-                | Some (faults, quarantined, recoveries, fallbacks) ->
-                    Counters.restore_resilience (Controller.counters ctrl)
-                      ~faults ~quarantined ~recoveries ~fallbacks);
-                (match p.p_replan_hist with
-                | Some h -> Counters.set_replan_hist (Controller.counters ctrl) h
-                | None -> ());
-                (match p.p_recovery_hist with
-                | Some h ->
-                    Counters.set_recovery_hist (Controller.counters ctrl) h
-                | None -> ());
-                (match p.p_pstate with
-                | None -> ()
-                | Some (total, used) ->
-                    let n = View.num_slots view in
-                    let slots =
-                      Array.init n (fun u ->
-                          match List.assoc_opt u p.p_pslots with
-                          | Some s -> s
-                          | None ->
-                              fail
-                                "pstate present but slot %d has no pslot line"
-                                u)
-                    in
-                    Planner.set_float_state (Controller.planner ctrl) ~total
-                      ~used ~slots);
-                Ok
-                  { ctrl;
-                    covered = p.p_covers;
-                    increments = List.length frames;
-                    torn }
-              with
-              | Parse_error msg -> Error ("Checkpoint.recover: " ^ msg)
-              | Invalid_argument msg -> Error ("Checkpoint.recover: " ^ msg)
-              | Failure msg -> Error ("Checkpoint.recover: " ^ msg))))
-
+      let ( let* ) = Result.bind in
+      let* text =
+        Option.to_result ~none:(Printf.sprintf "cannot read %s" path)
+          (read_all path)
+      in
+      let* frames, torn = scan_frames text in
+      let* ctrl =
+        if frames = [] then Error "no valid increments"
+        else guard (fun () -> restore_frames (View.of_instance instance) frames)
+      in
+      Ok { ctrl; covered = Controller.deltas_applied ctrl;
+           increments = List.length frames; torn })
+  |> Result.map_error (fun msg -> "Checkpoint.recover: " ^ msg)

@@ -1,14 +1,14 @@
 (** Incremental snapshots: an append-only chain of delta-encoded
-    checkpoint increments.
+    checkpoint increments — and the engine's one encoding of controller
+    state ({!Snapshot} wraps a single full increment).
 
-    A full {!Snapshot} is dominated by the dense materialized instance
-    (num_slots × num_streams matrices), which made snapshot recovery
-    {e lose} to full WAL replay at long log lengths. An increment never
-    writes the dense view: it records the view {e diff} since its
-    parent (churned slot specs, freed slots, changed cost rows, the
-    budget when dirty, the free order) plus the {e full} — but small —
-    controller/planner state: plan, admitted set, hex float
-    accumulators, counters, histograms, epoch phase.
+    A dense materialized instance (num_slots × num_streams matrices)
+    costs more to parse than replaying the log it summarizes. An
+    increment never writes the dense view: it records the view
+    {e diff} since its parent (churned slot specs, freed slots, changed
+    cost rows, the budget when dirty, the free order) plus the
+    {e full} — but small — controller/planner state: plan, admitted
+    set, hex float accumulators, counters, histograms, epoch phase.
 
     Recovery rebuilds the view from the initial instance plus the
     diffs, installs the last increment's controller state, and replays
@@ -81,3 +81,36 @@ val peek : string -> (int * int * int) option
 (** [(chain_bytes, covered, increments)] of the last valid increment,
     without building a view — the recovery cost model's input. [None]
     when the file is missing, not a chain, or has no valid increment. *)
+
+(** {1 Frames and single increments}
+
+    The pieces {!Snapshot} is built from. A frame is a header line
+    [<tag> <covers> <body-bytes> <crc32-hex>] followed by the body;
+    chain increments use the tag [I]. *)
+
+type frame = { covers : int; body : string }
+
+type frame_error =
+  | Bad_header of string  (** the header line, when it is not a [tag] frame *)
+  | Truncated of { have : int; want : int }  (** body bytes present / promised *)
+  | Corrupt of { stored : string; actual : string }  (** CRC-32 hex *)
+
+val frame_header : tag:string -> covers:int -> string -> string
+(** The header line (newline included) that frames the given body. *)
+
+val read_frame : tag:string -> string -> int -> (frame * int, frame_error) result
+(** Verify and cut out the frame whose header starts at the offset;
+    returns it with the offset just past its body. *)
+
+val full_increment : Controller.t -> string
+(** The body of a dirty-everything increment: it restores the
+    controller exactly on top of a view over the same stream catalog,
+    whatever that view's slots hold. *)
+
+val restore_increment :
+  View.t -> covers:int -> string -> (Controller.t, string) result
+(** Decode one increment body, apply its view diff to the view (which
+    is mutated) and build the controller from its state — the step
+    {!recover} runs for the last frame of a chain. Malformed bodies,
+    including a missing or duplicate [pslot] line, are an [Error] with
+    context. *)

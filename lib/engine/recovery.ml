@@ -3,9 +3,7 @@
    a record means running it through the planner's incremental apply —
    orders of magnitude more expensive than parsing it — so the model
    prices a path by the records it must APPLY plus the bytes it must
-   parse back into a controller. The chain usually wins on both terms:
-   its increments skip the dense matrices a full snapshot carries, and
-   it is written more often so its tail is shorter. *)
+   parse back into a controller. *)
 
 type choice = Snapshot_tail | Full_replay | Chain_tail
 
@@ -16,27 +14,17 @@ type estimate = {
   chain_seconds : float;
 }
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
-
-(* Defaults calibrated from BENCH_engine on the reference machine
-   (apply path ~15µs/record; snapshot parse throughput ~80 MB/s →
-   ~12ns/byte — the chain is the same text format family, so it shares
-   the per-byte rate). Override per deployment: the point of the
-   chooser is the RATIO, so rough constants already pick the right
-   side except when two paths are within noise of each other — where
-   either choice is fine. *)
-let apply_seconds_per_record () =
-  env_float "VDMC_APPLY_SECONDS_PER_RECORD" 15e-6
-
-let snapshot_seconds_per_byte () =
-  env_float "VDMC_SNAPSHOT_SECONDS_PER_BYTE" 12e-9
+(* Seconds per record applied and per byte parsed, calibrated from
+   BENCH_engine on the reference machine: the apply path costs
+   ~15µs/record, and snapshot and chain text parse at ~80 MB/s,
+   ~12ns/byte (both are checkpoint increments, so they share the
+   rate). The point of the chooser is the RATIO, so rough constants
+   already pick the right side except when two paths are within noise
+   of each other — where either choice is fine. *)
+let apply = 15e-6
+let parse = 12e-9
 
 let choose ?chain ~snapshot_bytes ~total_records ~covered () =
-  let apply = apply_seconds_per_record ()
-  and parse = snapshot_seconds_per_byte () in
   let tail_cost covered = float (max 0 (total_records - covered)) *. apply in
   let snapshot_seconds =
     if snapshot_bytes < 0 then infinity

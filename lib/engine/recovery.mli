@@ -7,16 +7,14 @@
     depends on staleness and parse weight — a checkpoint taken two
     records ago makes the tail path nearly free; a snapshot taken at
     record 10 of 100k is pure overhead on top of what is effectively a
-    full replay anyway; and the chain skips the dense matrices that
-    make a full snapshot expensive to parse in the first place.
+    full replay anyway.
 
     {!choose} prices the paths with a linear cost model (records to
-    {e apply} dominate; snapshot bytes to parse are the secondary
-    term) and picks the cheaper one. The constants are rough and
-    per-machine — override them with [VDMC_APPLY_SECONDS_PER_RECORD]
-    and [VDMC_SNAPSHOT_SECONDS_PER_BYTE] — but the decision only needs
-    the ratio, so rough is enough except where two paths cost the
-    same and either choice is fine. The choice taken is recorded via
+    {e apply} dominate; snapshot and chain bytes to parse are the
+    secondary term) and picks the cheaper one. The constants are rough
+    and calibrated on one machine, but the decision only needs the
+    ratio, so rough is enough except where two paths cost the same and
+    either choice is fine. The choice taken is recorded via
     {!Counters.note_recovery_path} by the caller (see {!note}). *)
 
 type choice = Snapshot_tail | Full_replay | Chain_tail

@@ -1,30 +1,30 @@
 (** Engine state persistence, crash-safe.
 
     A snapshot is a self-contained text document: a checksummed
-    envelope line ([v2]: body length + CRC-32), a short header (epoch
-    policy, pinned streams, active slots, aggregate counters), the
-    materialized view in the {!Mmd.Io} instance format and the current
-    plan in its plan format, separated by [%%section] markers.
-    Restoring yields a controller that continues exactly where the
-    saved one stopped — same plan, same slot ids, same counters —
-    except that latency samples restart empty.
+    envelope line ([mmd-engine-snapshot v3 <covers> <body-bytes>
+    <crc32-hex>]), then the stream catalog (streams, budgets and costs,
+    zero users) in the {!Mmd.Io} instance format, then one full
+    {!Checkpoint} increment. The increment is the engine's only
+    encoding of controller state: restoring rebuilds a view from the
+    catalog and runs the decoder and installer of chain recovery on
+    it, yielding a controller that continues exactly where the saved
+    one stopped — same plan, same slot ids, same counters, same
+    latency histograms.
 
     Durability contract: {!write_file} goes through a tmp file and an
     atomic rename and keeps the previous generation as [path.prev];
     {!read_file_result} verifies length (truncation / torn write) and
     CRC (corruption) before parsing and falls back to the previous
-    generation when the current file is damaged. Legacy [v1]
-    (un-checksummed) documents still load. *)
-
-val magic : string
-(** The legacy v1 magic line (still accepted on load). *)
+    generation when the current file is damaged. Documents of any
+    other version are rejected with an error naming their first
+    line. *)
 
 val save : Controller.t -> string
 
 val load_result : string -> (Controller.t, string) result
 (** Verify (length, checksum) and parse. All malformed input —
-    truncation, corruption, bad sections — is an [Error] with context,
-    never an exception. *)
+    truncation, corruption, other versions, bad sections — is an
+    [Error] with context, never an exception. *)
 
 val load : string -> Controller.t
 (** [load_result] for the CLI boundary. @raise Failure on malformed
@@ -55,7 +55,7 @@ val previous_path : string -> string
 (** [path.prev], the fallback generation written by {!write_file}. *)
 
 val peek_deltas_applied : string -> int option
-(** How many deltas the snapshot at [path] covers, read by scanning its
-    header for the counters line — no envelope verification, no view or
-    plan parsing. The cheap input {!Recovery.choose} needs; [None] when
-    the file is missing, not a snapshot, or lacks a counters line. *)
+(** How many deltas the snapshot at [path] covers, read from its
+    envelope line — no checksum verification, no body parsing. The
+    cheap input {!Recovery.choose} needs; [None] when the file is
+    missing or its first line is not a v3 envelope. *)

@@ -159,11 +159,13 @@ let of_string text =
             (Printf.sprintf "Io.of_string: line %d: unknown keyword %S"
                lineno keyword))
     lines;
-  (match !dims with
-  | None -> failwith "Io.of_string: missing 'dims' line"
-  | Some _ -> ());
+  let mc =
+    match !dims with
+    | None -> failwith "Io.of_string: missing 'dims' line"
+    | Some (_, _, _, mc) -> mc
+  in
   try
-    Instance.create ~name:!name ~server_cost:!server_cost ~budget:!budget
+    Instance.create ~name:!name ~mc ~server_cost:!server_cost ~budget:!budget
       ~load:!load ~capacity:!capacity ~utility:!utility
       ~utility_cap:!utility_cap ()
   with Invalid_argument msg -> failwith ("Io.of_string: " ^ msg)

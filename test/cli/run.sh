@@ -51,3 +51,10 @@ run inst.mmd -d churn.wal --wal-dir wd --checkpoint-every 100 --crash-after 250
 run inst.mmd -d churn.wal --wal-dir wd --checkpoint-every 100 --batch 64
 run inst.mmd -d churn.log --wal-dir wdp --checkpoint-every 100 --crash-after 250
 run inst.mmd -d churn.log --wal-dir wdp --checkpoint-every 100
+# Snapshots: periodic writes up to a crash, then resume with the
+# snapshot as the instance, and with --snapshot-in next to the WAL the
+# crashed run left (restore plus tail must match a full replay).
+run inst.mmd --gen-deltas 300 --seed 5 --wal-out snap.wal --snapshot-out snap.eng --snapshot-every 100 --crash-after 250
+run snap.eng --gen-deltas 200 --seed 9 --stats
+run inst.mmd -d snap.wal --snapshot-in snap.eng --stats
+run inst.mmd -d snap.wal --stats

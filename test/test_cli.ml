@@ -103,11 +103,34 @@ let test_sharded_exporters () =
       check_bool "stats table printed" true
         (contains out "engine_deltas_total"))
 
+(* A plain log has no sequence numbers to skip the snapshot's covered
+   prefix by, so --snapshot-in over one is refused up front instead of
+   applying covered deltas twice. *)
+let test_snapshot_in_needs_wal () =
+  in_scratch (fun dir ->
+      let status, _ =
+        run_engine ~dir
+          [ "inst.mmd"; "--gen-deltas"; "100"; "--seed"; "5"; "--deltas-out";
+            "s.log"; "--snapshot-out"; "s.eng" ]
+      in
+      check_bool "snapshot written" true (status = Unix.WEXITED 0);
+      let status, out =
+        run_engine ~dir
+          [ "inst.mmd"; "--deltas"; "s.log"; "--snapshot-in"; "s.eng" ]
+      in
+      check_bool "exits with an error" true
+        (match status with Unix.WEXITED c -> c <> 0 && c <> 3 | _ -> false);
+      let msg = "--snapshot-in needs --deltas to be a WAL in " ^ single in
+      if not (contains out msg) then
+        Alcotest.failf "expected %S in:\n%s" msg out)
+
 let suite =
   [ Alcotest.test_case "CI invocations print the pinned output" `Quick
       test_pinned_output;
     Alcotest.test_case "sharded mode honours the exporters" `Quick
-      test_sharded_exporters ]
+      test_sharded_exporters;
+    Alcotest.test_case "--snapshot-in rejects a plain --deltas log" `Quick
+      test_snapshot_in_needs_wal ]
   @ List.map
       (fun (name, args, flag, mode) ->
         Alcotest.test_case name `Quick (rejected args ~flag ~mode))

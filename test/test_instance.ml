@@ -128,7 +128,18 @@ let test_io_roundtrip_simple () =
       check_float "load" (I.load t u s 0) (I.load t' u s 0)
     done
   done;
-  check_float "budget" (I.budget t 0) (I.budget t' 0)
+  check_float "budget" (I.budget t 0) (I.budget t' 0);
+  (* A catalog-only instance keeps the mc its dims line declares. *)
+  let catalog =
+    I.create ~name:"catalog" ~mc:1
+      ~server_cost:[| [| 1. |]; [| 2. |] |]
+      ~budget:[| 3. |] ~load:[||] ~capacity:[||] ~utility:[||]
+      ~utility_cap:[||] ()
+  in
+  let catalog' = Mmd.Io.of_string (Mmd.Io.to_string catalog) in
+  check_int "zero users" 0 (I.num_users catalog');
+  check_int "mc kept without users" 1 (I.mc catalog');
+  check_float "catalog cost" 2. (I.server_cost catalog' 1 0)
 
 let test_io_infinities () =
   let t =

@@ -1,7 +1,7 @@
 (* The observability layer: monotonic wall clock (the Sys.time bug
    class), histogram codec/merge/quantiles, span JSONL output and
    nesting across pool tasks, metric aggregation, and histogram
-   persistence through Snapshot v2. *)
+   persistence through snapshots. *)
 
 open Helpers
 module H = Obs.Hist
@@ -364,36 +364,35 @@ let test_snapshot_persists_latency_hists () =
     (Obs.Hist.sum (Engine.Counters.replan_hist (C.counters restored)))
 
 let test_snapshot_without_hists_still_loads () =
-  (* Version gate: files predating the histogram field (v1, older v2)
-     load with empty histograms, as before this PR. *)
+  (* A controller that never replanned has empty histograms: its
+     snapshot carries no hist lines, and it loads with empty
+     histograms and the same state. *)
   let inst, log = churn_world 12 in
-  let ctrl = C.create ~policy:(C.Every 16) inst in
+  let ctrl =
+    C.of_state ~policy:C.Manual ~pinned:[]
+      ~view:(Engine.View.of_instance inst)
+      ~plan:(Mmd.Assignment.empty ~num_users:(Mmd.Instance.num_users inst))
+      ()
+  in
   C.apply_all ctrl log;
   let text = Engine.Snapshot.save ctrl in
-  let body_lines =
-    match String.index_opt text '\n' with
-    | Some i ->
-        String.split_on_char '\n'
-          (String.sub text (i + 1) (String.length text - i - 1))
-    | None -> []
-  in
-  let stripped =
-    List.filter
-      (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "hist "))
-      body_lines
-  in
-  let v1_text =
-    "mmd-engine-snapshot v1\n" ^ String.concat "\n" stripped
-  in
+  check_bool "no hist lines written" false
+    (List.exists
+       (fun l -> String.length l >= 5 && String.sub l 0 5 = "hist ")
+       (String.split_on_char '\n' text));
   let restored =
-    match Engine.Snapshot.load_result v1_text with
+    match Engine.Snapshot.load_result text with
     | Ok c -> c
     | Error m -> failwith m
   in
   check_float "state restored" (C.utility ctrl) (C.utility restored);
   let r = C.report restored in
-  check_int "latency samples restart empty" 0
-    r.Engine.Counters.replan_latency.Prelude.Stats.count
+  check_int "replan samples stay empty" 0
+    r.Engine.Counters.replan_latency.Prelude.Stats.count;
+  check_int "recovery samples stay empty" 0
+    r.Engine.Counters.recovery_latency.Prelude.Stats.count;
+  check_bool "re-encodes byte-identically" true
+    (Engine.Snapshot.save restored = text)
 
 let suite =
   [ Alcotest.test_case "clock is monotone" `Quick test_clock_monotone;

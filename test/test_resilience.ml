@@ -11,6 +11,7 @@ module C = Engine.Controller
 module W = Engine.Wal
 module F = Engine.Fault
 module S = Engine.Snapshot
+module K = Engine.Checkpoint
 
 let world seed =
   let rng = Prelude.Rng.create seed in
@@ -177,6 +178,50 @@ let test_snapshot_checksum_detects_damage () =
   | Error msg -> check_bool "names truncation" true (contains msg "truncated")
   | Ok _ -> Alcotest.fail "truncated snapshot accepted"
 
+(* Damage the decoder must catch behind a valid envelope: the edited
+   body is re-framed, so length and CRC check out. *)
+let test_snapshot_decoder_rejects () =
+  let inst, log = world 5 in
+  let ctrl = C.create ~policy:(C.Every 16) inst in
+  C.apply_all ctrl log;
+  let text = S.save ctrl in
+  let nl = String.index text '\n' in
+  let lines =
+    String.split_on_char '\n'
+      (String.sub text (nl + 1) (String.length text - nl - 1))
+  in
+  let reframe lines =
+    let body = String.concat "\n" lines in
+    K.frame_header ~tag:"mmd-engine-snapshot v3" ~covers:(C.deltas_applied ctrl)
+      body
+    ^ body
+  in
+  let is_pslot l = String.length l > 6 && String.sub l 0 6 = "pslot " in
+  let rec edit f = function
+    | l :: rest when is_pslot l -> f l @ rest
+    | l :: rest -> l :: edit f rest
+    | [] -> []
+  in
+  let expect what text needle =
+    match S.load_result text with
+    | Error msg ->
+        if not (contains msg needle) then
+          Alcotest.failf "%s: expected %S in %S" what needle msg
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  check_bool "re-framed original loads" true
+    (Result.is_ok (S.load_result (reframe lines)));
+  expect "missing pslot"
+    (reframe (edit (fun _ -> []) lines))
+    "slot 0 has no pslot line";
+  expect "duplicate pslot"
+    (reframe (edit (fun l -> [ l; l ]) lines))
+    "duplicate pslot line for slot 0";
+  let v2 =
+    "mmd-engine-snapshot v2" ^ String.sub text 22 (String.length text - 22)
+  in
+  expect "other version" v2 "mmd-engine-snapshot v2"
+
 let test_snapshot_generation_fallback () =
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "state.eng" in
@@ -235,12 +280,26 @@ let crash_recovery_prop (seed, cut_frac, policy) =
   let restored =
     match S.load_result snapshot with Ok c -> c | Error m -> failwith m
   in
+  (* The snapshot re-encodes byte-identically, and restores the same
+     state as a one-increment checkpoint chain of the crashed run. *)
+  let reencoded = S.save restored = snapshot in
+  let chain_path = Filename.temp_file "crash" ".ckpt" in
+  Sys.remove chain_path;
+  let w = K.create_writer ~path:chain_path ctrl in
+  K.checkpoint w ctrl;
+  K.close_writer w;
+  let chain_state =
+    match K.recover ~instance:inst ~path:chain_path with
+    | Ok r -> S.save r.K.ctrl
+    | Error m -> failwith m
+  in
+  Sys.remove chain_path;
   let covered = C.deltas_applied restored in
   List.iter
     (fun (seq, d) -> if seq > covered then ignore (C.apply restored d))
     records;
   C.replan restored;
-  covered = k
+  covered = k && reencoded && chain_state = snapshot
   && C.utility restored = C.utility ref_ctrl
   && plan_text restored = plan_text ref_ctrl
   && C.deltas_applied restored = C.deltas_applied ref_ctrl
@@ -411,6 +470,8 @@ let suite =
       test_snapshot_checksum_detects_damage;
     Alcotest.test_case "snapshot generation fallback" `Quick
       test_snapshot_generation_fallback;
+    Alcotest.test_case "snapshot decoder rejects pslot damage and v2" `Quick
+      test_snapshot_decoder_rejects;
     qcheck_crash_recovery;
     Alcotest.test_case "crash recovery regressions (ulp order, admitted set)"
       `Quick test_crash_recovery_regressions;
