@@ -174,9 +174,10 @@ let run () =
      cost more than the applies it saved. This sweep measures, at
      every log length, all three recovery paths from cold disk state
      (parse included): full WAL replay, full-snapshot + store tail,
-     and checkpoint-chain + store tail — and checks that the
-     {!Engine.Recovery} chooser picks a path that actually beats
-     replay, with a bit-identical result.
+     and checkpoint-chain + store tail — and checks that the path the
+     {!Engine.Recovery} coverage rule picks (snapshot and chain cover
+     the same records here, so the snapshot) actually beats replay,
+     with a bit-identical result.
 
      The crashing run is the production shape: WAL-first appends into
      a segmented {!Engine.Wal_store}, a checkpoint-chain increment and
@@ -196,7 +197,7 @@ let run () =
       [ ("deltas", T.Right); ("full replay (ms)", T.Right);
         ("snap+tail (ms)", T.Right); ("snapshot (B)", T.Right);
         ("chain+tail (ms)", T.Right);
-        ("chooser", T.Left); ("speedup", T.Right);
+        ("rule picks", T.Left); ("speedup", T.Right);
         ("bit-identical", T.Left) ]
   in
   let recovery_sweep =

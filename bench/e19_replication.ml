@@ -16,9 +16,6 @@
       fields must equal the unkilled run's — divergence is counted and
       must be 0.
 
-   3. Recovery-path choice: the startup chooser's estimates on a real
-      snapshot at several tail lengths, with the selected path.
-
    Results land in BENCH_replication.json; CI greps it for
    "divergence": 0 and "ttr_beats_cold": true. VDMC_SMOKE=1 shrinks
    the sweep; the invariants gate in both modes. *)
@@ -172,37 +169,6 @@ let run () =
     !runs sweep_seeds (List.length policies) !failovers !divergence
     sweep_seconds;
 
-  (* ----- recovery-path chooser on a real snapshot ----- *)
-  let inst, log = make_world ~num_streams ~num_users ~deltas:1000 1901 in
-  let snap_path = Filename.temp_file "e19" ".eng" in
-  let covered = 800 in
-  let ctrl = C.create ~policy inst in
-  List.iteri (fun i d -> if i < covered then ignore (C.apply ctrl d)) log;
-  Engine.Snapshot.write_file snap_path ctrl;
-  let chooser_rows =
-    List.map
-      (fun total ->
-        let est =
-          Engine.Recovery.assess ~snapshot_path:snap_path
-            ~total_records:total ()
-        in
-        Printf.printf
-          "  chooser: %d total records (tail %d) -> %s (snap %.4gs vs \
-           replay %.4gs)\n\
-           %!"
-          total
-          (max 0 (total - covered))
-          (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-          est.Engine.Recovery.snapshot_seconds
-          est.Engine.Recovery.replay_seconds;
-        (total, est))
-      [ covered + 10; covered * 50 ]
-  in
-  ignore log;
-  Sys.remove snap_path;
-  if Sys.file_exists (Engine.Snapshot.previous_path snap_path) then
-    Sys.remove (Engine.Snapshot.previous_path snap_path);
-
   let oc = open_out json_out in
   Printf.fprintf oc
     "{\n\
@@ -214,8 +180,7 @@ let run () =
     \  \"ttr_beats_cold\": %b,\n\
     \  \"divergence_sweep\": { \"seeds\": %d, \"policies\": %d, \"runs\": \
      %d, \"deltas_per_run\": %d, \"failovers\": %d, \"seconds\": %.3f },\n\
-    \  \"divergence\": %d,\n\
-    \  \"recovery_chooser\": [\n%s\n  ]\n\
+    \  \"divergence\": %d\n\
      }\n"
     smoke num_streams num_users
     (String.concat ",\n"
@@ -230,18 +195,7 @@ let run () =
               lag)
           ttr_rows))
     ttr_beats_cold sweep_seeds (List.length policies) !runs sweep_deltas
-    !failovers sweep_seconds !divergence
-    (String.concat ",\n"
-       (List.map
-          (fun (total, (est : Engine.Recovery.estimate)) ->
-            Printf.sprintf
-              "    { \"total_records\": %d, \"choice\": \"%s\", \
-               \"snapshot_seconds\": %.6g, \"replay_seconds\": %.6g }"
-              total
-              (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-              est.Engine.Recovery.snapshot_seconds
-              est.Engine.Recovery.replay_seconds)
-          chooser_rows));
+    !failovers sweep_seconds !divergence;
   close_out oc;
   Exp_common.check_json json_out;
   Printf.printf "results -> %s\n%!" json_out;

@@ -6,8 +6,8 @@
    are distinguished by content. Delta logs come in two flavors,
    also distinguished by content: the plain human-editable format and
    the CRC-framed WAL (--wal-out / Engine.Wal). WAL replays recover
-   around corruption (quarantining bad records) and, when resuming
-   from a snapshot, skip the records the snapshot already covers.
+   around corruption (quarantining bad records) and skip the records a
+   resume already recovered.
 
    Three single-process modes share one pipeline — one log loader, one
    replay loop, one end-of-run report — over one engine signature
@@ -45,8 +45,11 @@
    delta-encoded increments written every --checkpoint-every applied
    deltas; each checkpoint retires the WAL segments it covers, so the
    bytes a restart must read stay bounded no matter how long the run.
-   On startup the recovery chooser prices chain+tail against
-   snapshot+tail and a full replay and takes the cheapest.
+
+   Every resume — a positional snapshot, --snapshot-in over the input
+   WAL, an existing --wal-dir store — goes through one recovery step:
+   restore whichever of the chain and the snapshot covers the most of
+   the WAL, or replay it in full when neither does (Engine.Recovery).
 
    Examples:
      mmd_engine instance.mmd --deltas churn.log
@@ -309,54 +312,61 @@ let check_flags mode ~flags ~needs =
 
 (* ---------- The log loader ---------- *)
 
+(* An input delta log, parsed once: a CRC-framed WAL or a plain log. *)
+type input_log =
+  | Wal_log of Engine.Wal.recovery
+  | Plain_log of Engine.Delta.t list
+
+let read_log path =
+  let text = read_all path in
+  if Engine.Wal.is_wal text then
+    match Engine.Wal.recover_string text with
+    | Ok r -> Wal_log r
+    | Error msg -> failwith msg
+  else Plain_log (Engine.Delta.log_of_string text)
+
 (* The replay stream as (seq, delta) pairs. Plain logs are numbered
    from [already] (the restored lifetime delta count) — continuation
    semantics for a snapshot-resumed run fed new deltas. Under --wal-dir
    the input log is the same log the crashed run consumed from seq 1,
    so [plain_from_start] numbers it from 1 and the recovered prefix is
    skipped like a WAL's. WAL records carry their own authoritative
-   sequence numbers and records a snapshot already covers are skipped.
+   sequence numbers and records already recovered are skipped.
    [note] receives the quarantined count for the counters of whichever
    controller ends up replaying. Generated churn is drawn against
    [view], the engine's whole population. *)
-let load_records ~deltas_in ~gen_deltas ~seed ~deltas_out ~plain_from_start
+let load_records ~input ~gen_deltas ~seed ~deltas_out ~plain_from_start
     ~already ~view ~note =
   let number ~from log = List.mapi (fun i d -> (from + i + 1, d)) log in
-  let skip what records =
+  let skip records =
     let fresh, skipped =
       List.partition (fun (seq, _) -> seq > already) records
     in
     if skipped <> [] then
-      Format.printf "resume: skipping %d record(s) already %s (up to seq %d)@."
-        (List.length skipped) what already;
+      Format.printf
+        "resume: skipping %d record(s) already recovered (up to seq %d)@."
+        (List.length skipped) already;
     fresh
   in
-  match (deltas_in, gen_deltas) with
-  | Some path, _ -> (
-      let text = read_all path in
-      if not (Engine.Wal.is_wal text) then
-        let log = Engine.Delta.log_of_string text in
-        if plain_from_start then skip "recovered" (number ~from:0 log)
-        else number ~from:already log
-      else
-        match Engine.Wal.recover_string text with
-        | Error msg -> failwith msg
-        | Ok r ->
-            let n = List.length r.Engine.Wal.quarantined in
-            if n > 0 then begin
-              note n;
-              Format.printf "WAL recovery: quarantined %d record(s)%s@." n
-                (if r.Engine.Wal.torn_tail then " (including a torn tail)"
-                 else "");
-              List.iteri
-                (fun i (q : Engine.Wal.quarantined) ->
-                  if i < 10 then
-                    Format.printf "  line %d: %s@." q.Engine.Wal.line
-                      q.Engine.Wal.reason)
-                r.Engine.Wal.quarantined;
-              if n > 10 then Format.printf "  ... and %d more@." (n - 10)
-            end;
-            skip "covered by the snapshot" r.Engine.Wal.records)
+  match (Lazy.force input, gen_deltas) with
+  | Some (Plain_log log), _ ->
+      if plain_from_start then skip (number ~from:0 log)
+      else number ~from:already log
+  | Some (Wal_log r), _ ->
+      let n = List.length r.Engine.Wal.quarantined in
+      if n > 0 then begin
+        note n;
+        Format.printf "WAL recovery: quarantined %d record(s)%s@." n
+          (if r.Engine.Wal.torn_tail then " (including a torn tail)" else "");
+        List.iteri
+          (fun i (q : Engine.Wal.quarantined) ->
+            if i < 10 then
+              Format.printf "  line %d: %s@." q.Engine.Wal.line
+                q.Engine.Wal.reason)
+          r.Engine.Wal.quarantined;
+        if n > 10 then Format.printf "  ... and %d more@." (n - 10)
+      end;
+      skip r.Engine.Wal.records
   | None, Some n ->
       let rng = Prelude.Rng.create seed in
       let log =
@@ -605,30 +615,23 @@ let open_wal_out path =
   in
   Engine.Wal.append_file ~next_seq path
 
-let restore_snapshot ~path ~text =
-  match Engine.Snapshot.load_result text with
-  | Ok ctrl ->
-      Format.printf "restored snapshot: %d slots active, utility %.6g@."
-        (Engine.View.active_count (C.view ctrl))
-        (C.utility ctrl);
-      ctrl
-  | Error msg -> (
-      (* The on-disk fallback generation may still be good. *)
-      match Engine.Snapshot.read_file_result path with
-      | Ok (ctrl, Engine.Snapshot.Previous) ->
-          Format.printf
-            "snapshot damaged (%s); fell back to previous generation: %d \
-             slots active, utility %.6g@."
-            msg
-            (Engine.View.active_count (C.view ctrl))
-            (C.utility ctrl);
-          ctrl
-      | Ok (ctrl, Engine.Snapshot.Current) -> ctrl
-      | Error msg -> failwith msg)
-
-(* Restore the state the recovery chooser picked and note the choice;
-   returns the controller and the highest seq it covers. *)
-let restore ~policy ~inst ~snapshot_in ~chain choice =
+(* The one recovery step of a single engine: restore whichever of the
+   checkpoint chain and the snapshot covers the most of the WAL records
+   [first_seq..last_seq] (Engine.Recovery.select), or build from the
+   instance when neither does and the WAL starts at seq 1; note the
+   path taken. Returns the controller and the highest seq it covers. *)
+let recover ~policy ~inst ?chain ?snapshot ~first_seq ~last_seq () =
+  let { Engine.Recovery.choice; covers } =
+    match
+      Engine.Recovery.select ?chain_path:chain ?snapshot_path:snapshot
+        ~first_seq ~last_seq ()
+    with
+    | Ok d -> d
+    | Error msg -> failwith msg
+  in
+  Format.printf "recovery: taking %s (covers seq %d)@."
+    (Engine.Recovery.choice_to_string choice)
+    covers;
   let ctrl, covered =
     match choice with
     | Engine.Recovery.Chain_tail -> (
@@ -643,101 +646,75 @@ let restore ~policy ~inst ~snapshot_in ~chain choice =
               rc.Engine.Checkpoint.increments rc.Engine.Checkpoint.covered;
             (rc.Engine.Checkpoint.ctrl, rc.Engine.Checkpoint.covered)
         | Error msg -> failwith ("checkpoint chain recovery failed: " ^ msg))
-    | Engine.Recovery.Snapshot_tail ->
-        let snap = Option.get snapshot_in in
-        let ctrl = restore_snapshot ~path:snap ~text:(read_all snap) in
-        (ctrl, C.deltas_applied ctrl)
+    | Engine.Recovery.Snapshot_tail -> (
+        match Engine.Snapshot.read_file_result (Option.get snapshot) with
+        | Ok (ctrl, generation) ->
+            Format.printf "restored snapshot%s: %d slots active, utility %.6g@."
+              (if generation = Engine.Snapshot.Previous then
+                 " (previous generation: the current one is damaged)"
+               else "")
+              (Engine.View.active_count (C.view ctrl))
+              (C.utility ctrl);
+            (ctrl, C.deltas_applied ctrl)
+        | Error msg -> failwith msg)
     | Engine.Recovery.Full_replay -> (C.create ~policy (inst ()), 0)
   in
+  (* A snapshot that fell back to its previous generation may stop
+     short of a compacted WAL. *)
+  if covered < first_seq - 1 then
+    failwith
+      (Printf.sprintf "restored state covers seq %d, the WAL starts at seq %d"
+         covered first_seq);
   Engine.Recovery.note (C.counters ctrl) choice;
   (ctrl, covered)
 
-(* Single engine: a controller from the instance, a snapshot, or —
-   under --wal-dir — the cheapest of checkpoint chain + store tail,
-   snapshot + tail and a full replay of the store. The uncovered store
-   tail is replayed before any new input record is loaded, so churn
-   generation sees the recovered world. The engine logs first and
-   applies second: a crash between the two re-applies on recovery
-   instead of losing an applied record. *)
-let single_mode ~policy ~file ~text ~snapshot_in ~deltas_in ~wal_out ~wal_dir
+(* Single engine: a controller from the instance, or — from a
+   positional snapshot, from --snapshot-in over the input WAL, or from
+   an existing --wal-dir store — through [recover]. A positional
+   snapshot is the run's starting state: no WAL bounds it. The
+   uncovered store tail is replayed before any new input record is
+   loaded, so churn generation sees the recovered world. The engine
+   logs first and applies second: a crash between the two re-applies
+   on recovery instead of losing an applied record. *)
+let single_mode ~policy ~file ~text ~snapshot_in ~input ~wal_out ~wal_dir
     ~checkpoint_every =
   let inst () = Mmd.Io.of_string text in
-  let restore = restore ~policy ~inst ~snapshot_in in
-  let ctrl, store_ctx =
+  let chain =
+    Option.map (fun dir -> Filename.concat dir "chain.ckpt") wal_dir
+  in
+  let store =
     match wal_dir with
-    | None when Engine.Snapshot.is_snapshot text ->
-        (restore_snapshot ~path:file ~text, None)
-    | None when snapshot_in = None -> (C.create ~policy (inst ()), None)
-    | None ->
-        (* Estimate snapshot+tail against a full replay of the input
-           log, counted before building any controller. *)
-        let total_records =
-          match deltas_in with
-          | Some path -> (
-              let dtext = read_all path in
-              if Engine.Wal.is_wal dtext then
-                match Engine.Wal.recover_string dtext with
-                | Ok r -> List.length r.Engine.Wal.records
-                | Error _ -> 0
-              else List.length (Engine.Delta.log_of_string dtext))
-          | None -> 0
-        in
-        let est =
-          Engine.Recovery.assess ~snapshot_path:(Option.get snapshot_in)
-            ~total_records ()
-        in
-        Format.printf
-          "recovery: taking %s (estimated snapshot+tail %.4gs vs full replay \
-           %.4gs)@."
-          (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-          est.Engine.Recovery.snapshot_seconds
-          est.Engine.Recovery.replay_seconds;
-        (fst (restore ~chain:None est.Engine.Recovery.choice), None)
-    | Some dir ->
-        let chain = Filename.concat dir "chain.ckpt" in
-        let ctrl, tail =
-          match
-            if Sys.file_exists dir then Engine.Wal_store.recover_dir dir
-            else Error "no store"
-          with
-          | Error _ -> (C.create ~policy (inst ()), []) (* a fresh store *)
-          | Ok r ->
-              let total_records = r.Engine.Wal_store.last_seq in
-              let est =
-                Engine.Recovery.assess ~chain_path:chain
-                  ~snapshot_path:
-                    (Option.value snapshot_in
-                       ~default:(Filename.concat dir ".no-snapshot"))
-                  ~total_records ()
-              in
-              let est =
-                (* A compacted store cannot serve a full replay — the
-                   records below first_seq are gone — so the chain must
-                   cover the gap. *)
-                if r.Engine.Wal_store.first_seq > 1 then
-                  match Engine.Checkpoint.peek chain with
-                  | Some (_, covered, _)
-                    when covered >= r.Engine.Wal_store.first_seq - 1 ->
-                      { est with
-                        Engine.Recovery.choice = Engine.Recovery.Chain_tail }
-                  | _ ->
-                      failwith
-                        (Printf.sprintf
-                           "store %s is compacted below seq %d but the \
-                            checkpoint chain does not cover the gap"
-                           dir r.Engine.Wal_store.first_seq)
-                else est
-              in
-              Format.printf
-                "recovery: taking %s (chain+tail %.4gs vs snapshot+tail %.4gs \
-                 vs full replay %.4gs; %d record(s) on disk)@."
-                (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-                est.Engine.Recovery.chain_seconds
-                est.Engine.Recovery.snapshot_seconds
-                est.Engine.Recovery.replay_seconds total_records;
-              let ctrl, covered =
-                restore ~chain:(Some chain) est.Engine.Recovery.choice
-              in
+    | Some dir when Sys.file_exists dir ->
+        Result.to_option (Engine.Wal_store.recover_dir dir)
+    | _ -> None
+  in
+  (* A resume: the artifacts to choose from and the WAL's seq range. *)
+  let resume =
+    match (store, wal_dir) with
+    | Some (r : Engine.Wal_store.recovery), _ ->
+        Some (chain, snapshot_in, r.first_seq, r.last_seq)
+    | None, Some _ -> None (* a fresh store *)
+    | None, None when Engine.Snapshot.is_snapshot text ->
+        Some (None, Some file, 1, max_int)
+    | None, None when snapshot_in <> None -> (
+        match Lazy.force input with
+        | Some (Wal_log r) -> Some (None, snapshot_in, 1, r.Engine.Wal.last_seq)
+        | _ -> Some (None, snapshot_in, 1, 0))
+    | None, None -> None
+  in
+  let ctrl, covered =
+    match resume with
+    | Some (chain, snapshot, first_seq, last_seq) ->
+        recover ~policy ~inst ?chain ?snapshot ~first_seq ~last_seq ()
+    | None -> (C.create ~policy (inst ()), 0)
+  in
+  let store_ctx =
+    Option.map
+      (fun dir ->
+        let tail =
+          match store with
+          | None -> []
+          | Some r ->
               let n = List.length r.Engine.Wal_store.quarantined in
               if n > 0 then begin
                 Engine.Counters.note_quarantined ~n (C.counters ctrl);
@@ -746,13 +723,12 @@ let single_mode ~policy ~file ~text ~snapshot_in ~deltas_in ~wal_out ~wal_dir
                      " (including a torn tail)"
                    else "")
               end;
-              ( ctrl,
-                List.filter
-                  (fun (seq, _) -> seq > covered)
-                  r.Engine.Wal_store.records )
+              List.filter
+                (fun (seq, _) -> seq > covered)
+                r.Engine.Wal_store.records
         in
         let store = Engine.Wal_store.open_dir dir in
-        let w = Engine.Checkpoint.create_writer ~path:chain ctrl in
+        let w = Engine.Checkpoint.create_writer ~path:(Option.get chain) ctrl in
         if tail <> [] then begin
           let t0 = Obs.Clock.now () in
           C.apply_batch ~on_applied:(Engine.Checkpoint.note w) ctrl
@@ -761,7 +737,8 @@ let single_mode ~policy ~file ~text ~snapshot_in ~deltas_in ~wal_out ~wal_dir
             (List.length tail)
             (Obs.Clock.elapsed_since t0)
         end;
-        (ctrl, Some (store, w))
+        (store, w))
+      wal_dir
   in
   let wal_writer = Option.map open_wal_out wal_out in
   let e = Engine.S.of_controller ctrl in
@@ -994,18 +971,16 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
     let feeds = Proc_primary :: Supervisor :: local in
     let controller = [ Single; Replicated ] in
     let procs = [ Proc_primary; Supervisor ] in
-    (* --snapshot-in prices restore + tail against a replay of the WAL
-       it comes with. A plain log carries no sequence numbers, so a
-       snapshot-resumed replay would apply the deltas the snapshot
-       covers a second time; generated churn has no history at all. *)
-    let deltas_are_wal =
-      match deltas_in with
-      | Some path when snapshot_in <> None && wal_dir = None -> (
-          try
-            In_channel.with_open_bin path In_channel.input_line
-            |> Option.fold ~none:false ~some:Engine.Wal.is_wal
-          with Sys_error _ -> true)
-      | _ -> true
+    (* Parsed once, by whichever of the flag check, the recovery step
+       and the loader needs it first. *)
+    let input = lazy (Option.map read_log deltas_in) in
+    (* --snapshot-in restores over the WAL it comes with. A plain log
+       carries no sequence numbers, so a snapshot-resumed replay would
+       apply the deltas the snapshot covers a second time; generated
+       churn has no history at all. *)
+    let snapshot_over_log = snapshot_in <> None && wal_dir = None in
+    let deltas_are_wal () =
+      match Lazy.force input with Some (Wal_log _) -> true | _ -> false
     in
     check_flags mode
       ~flags:
@@ -1052,8 +1027,8 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
             "--wal-dir", wal_dir <> None );
           ( "--snapshot-every", snapshot_every <> None,
             "--snapshot-out", snapshot_out <> None );
-          ( "--snapshot-in", snapshot_in <> None && wal_dir = None,
-            "--deltas to be a WAL", deltas_in <> None && deltas_are_wal );
+          ( "--snapshot-in", snapshot_over_log, "--deltas to be a WAL",
+            (not snapshot_over_log) || deltas_are_wal () );
           ( "--deltas-out", deltas_out <> None,
             "--gen-deltas", gen_deltas <> None && deltas_in = None );
           ( "--heartbeat-every", heartbeat_every <> None,
@@ -1091,7 +1066,7 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
     let policy =
       match C.policy_of_string epoch with Ok p -> p | Error msg -> failwith msg
     in
-    let load = load_records ~deltas_in ~gen_deltas ~seed ~deltas_out in
+    let load = load_records ~input ~gen_deltas ~seed ~deltas_out in
     let replay =
       replay
         ~load:(load ~plain_from_start:(wal_dir <> None))
@@ -1120,7 +1095,7 @@ let engine_run file deltas_in gen_deltas seed deltas_out epoch skip_final
           ~idle_timeout:replica_idle_timeout (inst ())
     | Single ->
         replay
-          (single_mode ~policy ~file ~text ~snapshot_in ~deltas_in ~wal_out
+          (single_mode ~policy ~file ~text ~snapshot_in ~input ~wal_out
              ~wal_dir ~checkpoint_every)
     | Replicated ->
         replay
@@ -1198,13 +1173,13 @@ let snapshot_in =
     & opt (some string) None
     & info [ "snapshot-in" ] ~docv:"FILE"
         ~doc:
-          "With an instance FILE and a WAL $(b,--deltas): estimate the cost \
-           of restoring $(docv) plus replaying the uncovered tail against a \
-           full from-scratch replay, take the cheaper path, and record the \
-           choice in the counters (exported as \
-           $(b,engine_recovery_path_total)). A missing or damaged snapshot \
-           degrades to the full replay. Without $(b,--wal-dir), a plain \
-           or missing $(b,--deltas) is rejected: a plain log has no \
+          "With an instance FILE and a WAL $(b,--deltas): restore $(docv) \
+           and replay the WAL records past its coverage, or replay the \
+           whole WAL when $(docv) is missing, unreadable or ahead of the \
+           WAL; under $(b,--wal-dir) the checkpoint chain wins when it \
+           covers more. The path taken is counted in \
+           $(b,engine_recovery_path_total). Without $(b,--wal-dir), a \
+           plain or missing $(b,--deltas) is rejected: a plain log has no \
            sequence numbers to skip the covered deltas by.")
 
 let snapshot_out =
@@ -1486,8 +1461,9 @@ let wal_dir =
           "Durable state as a segmented WAL plus a checkpoint chain \
            ($(docv)/chain.ckpt) of delta-encoded increments. Each \
            checkpoint retires the sealed segments it covers, bounding \
-           recovery I/O; on startup the cost model picks the cheapest of \
-           chain+tail, snapshot+tail and full replay, and the store's \
+           recovery I/O. On startup the chain (or a $(b,--snapshot-in) \
+           covering more of the store) is restored — a store that starts \
+           at seq 1 with neither is replayed in full — and the store's \
            uncovered tail is replayed before new input records. Mutually \
            exclusive with $(b,--wal-out); unsupported with $(b,--shards) \
            and $(b,--replicas).")

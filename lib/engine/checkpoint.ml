@@ -135,7 +135,7 @@ let read_all path =
         (fun () -> Some (really_input_string ic (in_channel_length ic)))
   | exception Sys_error _ -> None
 
-(* Cheap structural peek for the recovery chooser: the chain's size
+(* Cheap structural peek for the recovery rule: the chain's size
    and the coverage of its last valid increment, without building a
    view. *)
 let peek path =
@@ -160,7 +160,6 @@ type dirty = {
 }
 
 type writer = {
-  path : string;
   oc : out_channel;
   dirty : dirty;
   mutable covered : int;
@@ -173,14 +172,19 @@ let clean () =
     budget = false;
     all_costs = false }
 
-(* A dirty-everything increment records every active slot, every
-   inactive slot as freed, all costs, the budget and the full free
-   order, so it restores correctly on top of ANY parent state over the
-   same catalog. *)
-let dirty_everything d (ctrl : Controller.t) =
+(* Every active slot, every inactive slot as freed, and the full free
+   order: on top of a view over the current catalog this restores
+   correctly whatever the view's slots hold. *)
+let dirty_slots d (ctrl : Controller.t) =
   for u = 0 to View.num_slots (Controller.view ctrl) - 1 do
     Hashtbl.replace d.slots u ()
-  done;
+  done
+
+(* A dirty-everything increment adds all costs and the budget, so it
+   restores correctly on top of ANY parent state over the same stream
+   set. *)
+let dirty_everything d ctrl =
+  dirty_slots d ctrl;
   d.all_costs <- true;
   d.budget <- true
 
@@ -200,8 +204,7 @@ let create_writer ~path ctrl =
     match prior with Some (_, c, n) -> (c, n) | None -> (0, 0)
   in
   let w =
-    { path;
-      oc;
+    { oc;
       dirty = clean ();
       covered = prior_covered;
       increments = prior_increments }
@@ -305,7 +308,7 @@ let body_of d ctrl =
 
 let full_increment ctrl =
   let d = clean () in
-  dirty_everything d ctrl;
+  dirty_slots d ctrl;
   body_of d ctrl
 
 let checkpoint w ctrl =
@@ -332,7 +335,6 @@ let checkpoint w ctrl =
 let covered w = w.covered
 let increments w = w.increments
 let close_writer w = close_out w.oc
-let writer_path w = w.path
 
 (* ------------------------------------------------------------------ *)
 (* Reading *)

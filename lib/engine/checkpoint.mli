@@ -60,7 +60,6 @@ val increments : writer -> int
 (** Increments appended by this writer. *)
 
 val close_writer : writer -> unit
-val writer_path : writer -> string
 
 (** {1 Recovery} *)
 
@@ -79,7 +78,7 @@ val recover :
 
 val peek : string -> (int * int * int) option
 (** [(chain_bytes, covered, increments)] of the last valid increment,
-    without building a view — the recovery cost model's input. [None]
+    without building a view — the recovery rule's input. [None]
     when the file is missing, not a chain, or has no valid increment. *)
 
 (** {1 Frames and single increments}
@@ -103,9 +102,10 @@ val read_frame : tag:string -> string -> int -> (frame * int, frame_error) resul
     returns it with the offset just past its body. *)
 
 val full_increment : Controller.t -> string
-(** The body of a dirty-everything increment: it restores the
-    controller exactly on top of a view over the same stream catalog,
-    whatever that view's slots hold. *)
+(** The body of an increment that marks every slot dirty but carries
+    no [budget] or [cost] line: it restores the controller exactly on
+    top of a view over the controller's current stream catalog (its
+    budgets and costs), whatever that view's slots hold. *)
 
 val restore_increment :
   View.t -> covers:int -> string -> (Controller.t, string) result

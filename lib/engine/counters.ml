@@ -39,10 +39,9 @@ type t = {
   mutable recoveries : int;
   mutable fallbacks : int;
   mutable recovery_hist : Obs.Hist.t;
-  (* Recovery path selection (PR 7): which startup path the recovery
-     chooser took. Not part of [fields]/[report] — the choice depends
-     on measured machine speed, so folding it into the bit-identity
-     surfaces would make determinism checks flaky. *)
+  (* Which startup recovery path was taken. Not part of
+     [fields]/[report]: a recovered engine must compare bit-identical
+     with one that never stopped. *)
   mutable snapshot_recoveries : int;
   mutable full_replays : int;
   (* Certificate telemetry (PR 10): how many optimality certificates

@@ -53,8 +53,8 @@ val note_recovery_path :
     with a [path="snapshot"|"replay"|"chain"] label ([`Chain_tail] is
     a checkpoint-chain restore plus WAL-tail replay; it counts on the
     snapshot side of {!recovery_paths}). Deliberately excluded from
-    {!fields} and {!report}: the choice depends on measured machine
-    speed, which would poison bit-identity checks. *)
+    {!fields} and {!report}: a recovered engine must compare
+    bit-identical with one that never stopped. *)
 
 val recovery_paths : t -> int * int
 (** [(snapshot_tail, full_replay)] selections recorded so far. *)

@@ -1,58 +1,60 @@
 (** Startup recovery-path selection.
 
-    After a crash the engine has (up to) three ways back: restore the
-    checkpoint chain and replay only the WAL tail past its coverage,
-    load the latest full snapshot and replay its (usually longer)
-    tail, or replay the whole WAL from scratch. Which is cheaper
-    depends on staleness and parse weight — a checkpoint taken two
-    records ago makes the tail path nearly free; a snapshot taken at
-    record 10 of 100k is pure overhead on top of what is effectively a
-    full replay anyway.
+    After a crash the engine has up to three ways back: restore the
+    checkpoint chain's last valid increment and replay the WAL tail past
+    its coverage, restore the snapshot and replay its tail, or replay
+    the whole WAL from the initial instance.
 
-    {!choose} prices the paths with a linear cost model (records to
-    {e apply} dominate; snapshot and chain bytes to parse are the
-    secondary term) and picks the cheaper one. The constants are rough
-    and calibrated on one machine, but the decision only needs the
-    ratio, so rough is enough except where two paths cost the same and
-    either choice is fine. The choice taken is recorded via
-    {!Counters.note_recovery_path} by the caller (see {!note}). *)
+    One rule picks between them, from the files alone. An artifact
+    covering [covers] records is {e usable} when
+    [first_seq - 1 <= covers <= last_seq] for the WAL's records
+    [first_seq..last_seq]: the tail it needs is still on disk, and it
+    is not ahead of the WAL. The usable artifact with the highest
+    coverage is restored; on a tie the snapshot wins (it is one
+    increment). With no usable artifact the WAL is replayed in full
+    when it starts at seq 1, and recovery is an [Error] when it was
+    compacted (the records below [first_seq] are gone). The path taken
+    is recorded via {!Counters.note_recovery_path} by the caller (see
+    {!note}). *)
 
 type choice = Snapshot_tail | Full_replay | Chain_tail
 
-type estimate = {
+type decision = {
   choice : choice;
-      (** the cheapest path (ties go to the shorter-tail path: chain,
-          then snapshot) *)
-  snapshot_seconds : float;
-      (** estimated cost of snapshot load + tail replay; [infinity]
-          when no usable snapshot exists *)
-  replay_seconds : float;  (** estimated cost of the full replay *)
-  chain_seconds : float;
-      (** estimated cost of chain restore + tail replay; [infinity]
-          when no usable chain exists *)
+  covers : int;
+      (** records the restored artifact covers; 0 for a full replay *)
 }
 
 val choose :
-  ?chain:int * int ->
-  snapshot_bytes:int ->
-  total_records:int ->
-  covered:int ->
+  ?chain:int ->
+  ?snapshot:int ->
+  first_seq:int ->
+  last_seq:int ->
   unit ->
-  estimate
-(** Price the paths for a snapshot of [snapshot_bytes] covering
-    [covered] of the WAL's [total_records] records, and optionally a
-    checkpoint chain of [(chain_bytes, chain_covered)]. A negative
-    [snapshot_bytes] means "no snapshot". *)
+  (decision, string) result
+(** The rule over the coverage of the chain's last valid increment
+    and of the snapshot (either may be absent) against the WAL's
+    records [first_seq..last_seq]. *)
+
+val select :
+  ?chain_path:string ->
+  ?snapshot_path:string ->
+  first_seq:int ->
+  last_seq:int ->
+  unit ->
+  (decision, string) result
+(** {!choose} against the files on disk: the chain's {!Checkpoint.peek}
+    and the snapshot's {!Snapshot.peek_deltas_applied}. A missing or
+    unreadable file is an absent artifact. *)
 
 val assess :
-  ?chain_path:string -> snapshot_path:string -> total_records:int -> unit -> estimate
-(** {!choose} against the files on disk: the snapshot's byte size and
-    {!Snapshot.peek_deltas_applied}, and (when [chain_path] is given)
-    the chain's {!Checkpoint.peek}. Degrades each path to [infinity]
-    when its file is missing, unreadable, structurally empty, or
-    claims to cover more records than the WAL holds (a stale WAL
-    paired with a newer artifact is not a tail-replay situation);
-    with neither artifact usable the choice is [Full_replay]. *)
+  ?chain_path:string ->
+  snapshot_path:string ->
+  total_records:int ->
+  unit ->
+  decision
+(** {!select} over a WAL holding records [1..total_records], where a
+    full replay is always possible, so there is no error case. *)
 
 val choice_to_string : choice -> string
 

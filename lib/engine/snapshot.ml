@@ -1,7 +1,9 @@
 (* Engine state snapshots: one checksummed frame whose body is the
    stream catalog (streams, budgets and costs, zero users) in Mmd.Io
    instance format, a %%increment marker, and one full checkpoint
-   increment of the controller.
+   increment of the controller. The catalog alone carries the budgets
+   and costs (Mmd.Io writes them losslessly), so the increment leaves
+   out its budget and cost lines.
 
    Envelope: "mmd-engine-snapshot v3 <covers> <body-bytes> <crc32-hex>\n"
    followed by the body; the length catches truncation (a torn write
@@ -126,15 +128,11 @@ let read_file_result path =
                  primary fallback)
       else Error primary)
 
-let read_file path =
-  match read_file_result path with
-  | Ok (ctrl, _) -> ctrl
-  | Error msg -> failwith msg
-
-(* The recovery chooser's cheap input: the coverage the envelope line
+(* The recovery rule's cheap input: the coverage the envelope line
    declares, without verifying or parsing the body — the verified load
-   happens after (and only if) the snapshot path is chosen. *)
-let peek_deltas_applied path =
+   happens after (and only if) the snapshot path is chosen. Like that
+   load, it falls back to the previous generation. *)
+let peek_envelope path =
   match open_in_bin path with
   | exception Sys_error _ -> None
   | ic ->
@@ -148,3 +146,8 @@ let peek_deltas_applied path =
           | [ p; "v3"; covers; _; _ ] when p = magic_prefix ->
               int_of_string_opt covers
           | _ | (exception End_of_file) -> None)
+
+let peek_deltas_applied path =
+  match peek_envelope path with
+  | Some covers -> Some covers
+  | None -> peek_envelope (previous_path path)

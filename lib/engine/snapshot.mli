@@ -4,7 +4,8 @@
     envelope line ([mmd-engine-snapshot v3 <covers> <body-bytes>
     <crc32-hex>]), then the stream catalog (streams, budgets and costs,
     zero users) in the {!Mmd.Io} instance format, then one full
-    {!Checkpoint} increment. The increment is the engine's only
+    {!Checkpoint} increment (without budget and cost lines: the
+    catalog carries those). The increment is the engine's only
     encoding of controller state: restoring rebuilds a view from the
     catalog and runs the decoder and installer of chain recovery on
     it, yielding a controller that continues exactly where the saved
@@ -48,14 +49,12 @@ val read_file_result : string -> (Controller.t * generation, string) result
     generation is truncated, corrupted or unparseable. The returned
     {!generation} says which one was used. *)
 
-val read_file : string -> Controller.t
-(** @raise Failure when no generation is loadable (CLI boundary). *)
-
 val previous_path : string -> string
 (** [path.prev], the fallback generation written by {!write_file}. *)
 
 val peek_deltas_applied : string -> int option
 (** How many deltas the snapshot at [path] covers, read from its
     envelope line — no checksum verification, no body parsing. The
-    cheap input {!Recovery.choose} needs; [None] when the file is
-    missing or its first line is not a v3 envelope. *)
+    cheap input {!Recovery.select} needs. Falls back to [path.prev]
+    like {!read_file_result}; [None] when neither generation's first
+    line is a v3 envelope. *)

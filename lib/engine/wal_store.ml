@@ -122,7 +122,7 @@ type recovery = {
   records : (int * Delta.t) list;
   quarantined : (string * Wal.quarantined) list;
   first_seq : int;  (* lowest sequence available (1 unless compacted) *)
-  last_seq : int;
+  last_seq : int;  (* at least first_seq - 1: compacted records count *)
   torn_tail : bool;
   segments : int;
 }
@@ -186,7 +186,7 @@ let recover_dir dir =
             { records = List.rev !records;
               quarantined = List.rev !quarantined;
               first_seq = first_avail;
-              last_seq = !last;
+              last_seq = max !last (first_avail - 1);
               torn_tail = !torn;
               segments = nsegs })
 

@@ -42,6 +42,8 @@ type recovery = {
   first_seq : int;
       (** Lowest sequence still on disk — 1 unless compacted away. *)
   last_seq : int;
+      (** Highest sequence on disk; [first_seq - 1] when no record
+          survives past a compaction. *)
   torn_tail : bool;  (** The {e last} segment ends in a torn record. *)
   segments : int;
 }

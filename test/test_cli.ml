@@ -124,13 +124,46 @@ let test_snapshot_in_needs_wal () =
       if not (contains out msg) then
         Alcotest.failf "expected %S in:\n%s" msg out)
 
+(* A store compacted past every checkpoint on disk cannot come back:
+   the records below its first seq are gone. A snapshot covering the
+   gap restores it. Segments hold 1024 records, so 2500 deltas with
+   checkpoints every 500 leave the store compacted below seq 2049. *)
+let test_compacted_store_gap () =
+  in_scratch (fun dir ->
+      let wd = Filename.concat dir "wd" in
+      let status, _ =
+        run_engine ~dir
+          [ "inst.mmd"; "--gen-deltas"; "2500"; "--wal-dir"; "wd";
+            "--checkpoint-every"; "500"; "--snapshot-out"; "s.eng" ]
+      in
+      check_bool "first run" true (status = Unix.WEXITED 0);
+      check_bool "store compacted" false
+        (Sys.file_exists (Filename.concat wd "segment-0000000001.wal"));
+      Sys.remove (Filename.concat wd "chain.ckpt");
+      let status, out = run_engine ~dir [ "inst.mmd"; "--wal-dir"; "wd" ] in
+      check_bool "exits with an error" true
+        (match status with Unix.WEXITED c -> c <> 0 && c <> 3 | _ -> false);
+      if not (contains out "nothing covers the gap") then
+        Alcotest.failf "expected the gap error in:\n%s" out;
+      let status, out =
+        run_engine ~dir
+          [ "inst.mmd"; "--wal-dir"; "wd"; "--snapshot-in"; "s.eng" ]
+      in
+      check_bool "snapshot resume" true (status = Unix.WEXITED 0);
+      check_bool "takes the snapshot" true
+        (contains out "recovery: taking snapshot+tail (covers seq 2500)");
+      Array.iter (fun f -> Sys.remove (Filename.concat wd f)) (Sys.readdir wd);
+      Unix.rmdir wd)
+
 let suite =
   [ Alcotest.test_case "CI invocations print the pinned output" `Quick
       test_pinned_output;
     Alcotest.test_case "sharded mode honours the exporters" `Quick
       test_sharded_exporters;
     Alcotest.test_case "--snapshot-in rejects a plain --deltas log" `Quick
-      test_snapshot_in_needs_wal ]
+      test_snapshot_in_needs_wal;
+    Alcotest.test_case "a compacted store needs a covering checkpoint" `Quick
+      test_compacted_store_gap ]
   @ List.map
       (fun (name, args, flag, mode) ->
         Alcotest.test_case name `Quick (rejected args ~flag ~mode))

@@ -245,6 +245,32 @@ let test_store_roll_resume_compact () =
           check_bool "no torn tail" false r.WS.torn_tail;
           check_int "records readable" 31 (List.length r.WS.records))
 
+(* A crash between rolling a segment and its first record, after the
+   checkpoint that compacted everything before it, leaves no record on
+   disk; last_seq still counts the compacted ones, so that checkpoint
+   stays usable. *)
+let test_store_compacted_to_empty () =
+  let _, log = world ~deltas:21 61 in
+  with_tmp_dir (fun dir ->
+      let store = WS.open_dir ~segment_records:10 dir in
+      List.iter (fun d -> ignore (WS.append store d)) log;
+      check_int "two segments retired" 2 (WS.compact store ~covered:20);
+      WS.close store;
+      (match WS.segments dir with
+      | [ (21, path) ] ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (Engine.Wal.magic ^ "\n"))
+      | _ -> Alcotest.fail "expected one segment from seq 21");
+      match WS.recover_dir dir with
+      | Error m -> Alcotest.fail m
+      | Ok r ->
+          check_int "first seq" 21 r.WS.first_seq;
+          check_int "no record survives" 0 (List.length r.WS.records);
+          check_int "last seq counts the compacted records" 20 r.WS.last_seq;
+          check_bool "a checkpoint at 20 is usable" true
+            (R.choose ~chain:20 ~first_seq:21 ~last_seq:20 ()
+            = Ok { R.choice = R.Chain_tail; covers = 20 }))
+
 let test_store_bytes_match_wal () =
   (* A segmented store's concatenated bytes are exactly a monolithic
      WAL's (magic per segment aside): same framing, same seqs. *)
@@ -299,32 +325,96 @@ let test_chain_peek_and_torn_tail () =
       | None, _ -> Alcotest.fail "peek failed after tear"
       | _, Error m -> Alcotest.fail m)
 
-(* ---------- the recovery chooser ---------- *)
+(* ---------- the recovery rule ---------- *)
 
-let test_chooser_three_way () =
-  (* Pure cost model: rates pinned via the documented env knobs are
-     not needed — relative magnitudes decide. *)
-  let est =
-    R.choose ~chain:(1_000, 950) ~snapshot_bytes:500_000 ~total_records:1_000
-      ~covered:900 ()
-  in
-  check_bool "short chain tail wins" true (est.R.choice = R.Chain_tail);
-  let est =
-    R.choose ~snapshot_bytes:800 ~total_records:10_000 ~covered:9_900 ()
-  in
-  check_bool "snapshot wins without a chain" true
-    (est.R.choice = R.Snapshot_tail);
-  let est =
-    R.choose ~chain:(50_000_000, 10) ~snapshot_bytes:(-1) ~total_records:100
-      ~covered:0 ()
-  in
-  check_bool "tiny log replays" true (est.R.choice = R.Full_replay);
-  (* Ties break toward the chain (shorter tail on disk growth). *)
-  let est =
-    R.choose ~chain:(100, 500) ~snapshot_bytes:100 ~total_records:1_000
-      ~covered:500 ()
-  in
-  check_bool "tie goes to the chain" true (est.R.choice = R.Chain_tail)
+(* [choose] as (path, coverage), [None] for an error. *)
+let decide ?chain ?snapshot ~first_seq ~last_seq () =
+  match R.choose ?chain ?snapshot ~first_seq ~last_seq () with
+  | Ok d -> Some (d.R.choice, d.R.covers)
+  | Error _ -> None
+
+let test_coverage_rule () =
+  let is what expected got = check_bool what true (got = expected) in
+  let wal = decide ~first_seq:1 ~last_seq:1_000 in
+  is "the chain covering more wins" (Some (R.Chain_tail, 950))
+    (wal ~chain:950 ~snapshot:900 ());
+  is "the snapshot covering more wins" (Some (R.Snapshot_tail, 990))
+    (wal ~chain:950 ~snapshot:990 ());
+  is "a tie goes to the snapshot" (Some (R.Snapshot_tail, 500))
+    (wal ~chain:500 ~snapshot:500 ());
+  is "a chain ahead of the WAL is unusable" (Some (R.Snapshot_tail, 10))
+    (wal ~chain:1_001 ~snapshot:10 ());
+  is "a snapshot ahead of the WAL is unusable" (Some (R.Full_replay, 0))
+    (wal ~snapshot:1_001 ());
+  is "an artifact at the WAL's end is usable" (Some (R.Chain_tail, 1_000))
+    (wal ~chain:1_000 ());
+  is "nothing usable replays in full" (Some (R.Full_replay, 0)) (wal ());
+  (* A compacted WAL (records 1..400 gone) needs coverage of seq 400. *)
+  let compacted = decide ~first_seq:401 ~last_seq:1_000 in
+  is "a chain short of the gap is an error" None (compacted ~chain:399 ());
+  is "nothing on a compacted WAL is an error" None (compacted ());
+  is "a snapshot covering the gap gives snapshot+tail"
+    (Some (R.Snapshot_tail, 450))
+    (compacted ~chain:399 ~snapshot:450 ());
+  is "coverage of exactly first_seq - 1 is enough" (Some (R.Chain_tail, 400))
+    (compacted ~chain:400 ());
+  match R.choose ~chain:399 ~first_seq:401 ~last_seq:1_000 () with
+  | Error msg ->
+      check_bool "the error names the gap" true
+        (contains msg "gap")
+  | Ok _ -> Alcotest.fail "chain short of the gap accepted"
+
+(* A store compacted below seq 57 after a checkpoint at 60, a chain of
+   its own that stops at 20, and a snapshot at 60: the chain cannot
+   serve, the snapshot can, and snapshot + store tail reproduces the
+   uninterrupted run. *)
+let test_compacted_store_needs_cover () =
+  let inst, log = world ~deltas:70 59 in
+  let policy = C.Every 16 in
+  let reference = C.create ~policy inst in
+  List.iter (fun d -> ignore (C.apply reference d)) log;
+  with_tmp_dir (fun dir ->
+      let short_path = Filename.concat dir "short.ckpt" in
+      let snap_path = Filename.concat dir "state.eng" in
+      let store = WS.open_dir ~segment_records:8 dir in
+      let ctrl = C.create ~policy inst in
+      let short = K.create_writer ~path:short_path ctrl in
+      List.iteri
+        (fun i d ->
+          ignore (WS.append_tee ~flush:false store d);
+          K.note short (C.apply ctrl d);
+          if i + 1 = 20 then K.checkpoint short ctrl;
+          if i + 1 = 60 then begin
+            Engine.Snapshot.write_file snap_path ctrl;
+            ignore (WS.compact store ~covered:60)
+          end)
+        log;
+      WS.close store;
+      K.close_writer short;
+      match WS.recover_dir dir with
+      | Error m -> Alcotest.fail m
+      | Ok r -> (
+          check_int "compacted below seq 57" 57 r.WS.first_seq;
+          let select =
+            R.select ~first_seq:r.WS.first_seq ~last_seq:r.WS.last_seq
+          in
+          check_bool "the short chain alone is an error" true
+            (Result.is_error (select ~chain_path:short_path ()));
+          match select ~chain_path:short_path ~snapshot_path:snap_path () with
+          | Error m -> Alcotest.fail m
+          | Ok d ->
+              check_bool "snapshot+tail" true (d.R.choice = R.Snapshot_tail);
+              check_int "covers 60" 60 d.R.covers;
+              let restored =
+                Engine.Snapshot.load
+                  (In_channel.with_open_bin snap_path In_channel.input_all)
+              in
+              List.iter
+                (fun (seq, d) ->
+                  if seq > 60 then ignore (C.apply restored d))
+                r.WS.records;
+              check_bool "bit-identical to the uninterrupted run" true
+                (same_state restored reference)))
 
 let test_assess_prefers_chain_on_disk () =
   let inst, log = world ~deltas:80 53 in
@@ -359,11 +449,14 @@ let suite =
     qcheck_chain_recovery;
     Alcotest.test_case "store: roll, resume, compact" `Quick
       test_store_roll_resume_compact;
+    Alcotest.test_case "store: compacted to an empty segment" `Quick
+      test_store_compacted_to_empty;
     Alcotest.test_case "store: single segment is a plain wal" `Quick
       test_store_bytes_match_wal;
     Alcotest.test_case "chain: peek and torn-tail fallback" `Quick
       test_chain_peek_and_torn_tail;
-    Alcotest.test_case "chooser: three-way cost model" `Quick
-      test_chooser_three_way;
+    Alcotest.test_case "chooser: coverage rule" `Quick test_coverage_rule;
+    Alcotest.test_case "chooser: compacted store needs a covering checkpoint"
+      `Quick test_compacted_store_needs_cover;
     Alcotest.test_case "chooser: assess on-disk artifacts" `Quick
       test_assess_prefers_chain_on_disk ]

@@ -647,30 +647,29 @@ let qcheck_streaming_recovery =
     QCheck2.Gen.(int_range 1 10_000)
     streaming_recovery_prop
 
-(* ---------- Recovery path chooser (satellite) ---------- *)
+(* ---------- Recovery path rule ---------- *)
 
 let test_recovery_chooser () =
   let open Engine.Recovery in
-  (* A fresh snapshot covering almost everything: tail replay wins. *)
+  (* A snapshot covering almost everything restores. *)
   let near =
-    choose ~snapshot_bytes:10_000 ~total_records:100_000 ~covered:99_000 ()
+    Result.get_ok (choose ~snapshot:99_000 ~first_seq:1 ~last_seq:100_000 ())
   in
   check_bool "fresh snapshot -> snapshot path" true (near.choice = Snapshot_tail);
-  (* A stale snapshot covering almost nothing: the full replay is not
-     worse, and the snapshot parse is pure overhead. *)
+  (* A snapshot covering almost nothing still restores: any coverage
+     saves applies, and nothing on disk says how fast this host is. *)
   let stale =
-    choose ~snapshot_bytes:50_000_000 ~total_records:1_000 ~covered:10 ()
+    Result.get_ok (choose ~snapshot:10 ~first_seq:1 ~last_seq:1_000 ())
   in
-  check_bool "stale snapshot -> full replay" true (stale.choice = Full_replay);
+  check_bool "stale snapshot -> snapshot path" true
+    (stale.choice = Snapshot_tail && stale.covers = 10);
   (* assess on a missing file degrades to full replay. *)
   let missing =
     assess ~snapshot_path:"/nonexistent/snap.eng" ~total_records:100 ()
   in
-  check_bool "missing snapshot -> full replay" true (missing.choice = Full_replay);
-  check_bool "missing snapshot cost infinite" true
-    (missing.snapshot_seconds = infinity);
-  (* assess against a real snapshot file picks the snapshot path when
-     the tail is short. *)
+  check_bool "missing snapshot -> full replay" true
+    (missing.choice = Full_replay && missing.covers = 0);
+  (* assess against a real snapshot file picks the snapshot path. *)
   let inst, log = world 38 in
   let ctrl = C.create ~policy:C.Manual inst in
   C.apply_all ctrl log;

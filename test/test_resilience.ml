@@ -257,6 +257,81 @@ let test_snapshot_generation_fallback () =
       | Ok (_, S.Current) -> Alcotest.fail "damaged generation accepted"
       | Error msg -> Alcotest.fail msg)
 
+(* The recovery rule reads a snapshot's coverage from its envelope
+   line; when that line is damaged it reads the previous generation's,
+   the one the load then falls back to. *)
+let test_snapshot_peek_fallback () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "state.eng" in
+      let inst, log = world 7 in
+      let ctrl = C.create ~policy:(C.Every 16) inst in
+      C.apply_all ctrl (List.filteri (fun i _ -> i < 50) log);
+      S.write_file path ctrl;
+      C.apply_all ctrl (List.filteri (fun i _ -> i >= 50) log);
+      S.write_file path ctrl;
+      check_bool "current coverage" true
+        (S.peek_deltas_applied path = Some (List.length log));
+      let text = S.save ctrl in
+      let body = String.index text '\n' in
+      let oc = open_out_bin path in
+      output_string oc
+        ("mmd-engine-snapshot v3 damaged"
+        ^ String.sub text body (String.length text - body));
+      close_out oc;
+      check_bool "previous coverage" true
+        (S.peek_deltas_applied path = Some 50);
+      match S.read_file_result path with
+      | Ok (r, S.Previous) -> check_int "restores it" 50 (C.deltas_applied r)
+      | Ok (_, S.Current) -> Alcotest.fail "damaged generation accepted"
+      | Error msg -> Alcotest.fail msg)
+
+(* The snapshot's increment carries no budget or cost line: the
+   catalog alone must bring back the costs a budget resize clamped and
+   a cost change set, bit for bit. *)
+let test_snapshot_costs_from_catalog () =
+  let inst, log = world 11 in
+  let ctrl = C.create ~policy:(C.Every 16) inst in
+  let v = C.view ctrl in
+  let m = V.m v in
+  C.apply_all ctrl (List.filteri (fun i _ -> i < 40) log);
+  let budgets = Array.init m (fun i -> V.budget v i *. 0.37) in
+  ignore (C.apply ctrl (D.Budget_resize budgets));
+  ignore
+    (C.apply ctrl
+       (D.Stream_cost_change
+          { stream = 3; costs = Array.init m (fun i -> V.budget v i /. 3.) }));
+  C.apply_all ctrl (List.filteri (fun i _ -> i >= 40) log);
+  let text = S.save ctrl in
+  let increment =
+    let marker = "%%increment\n" in
+    let rec find i =
+      if String.sub text i (String.length marker) = marker then
+        String.sub text i (String.length text - i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  check_bool "no budget line in the increment" false
+    (contains increment "\nbudget");
+  check_bool "no cost line in the increment" false
+    (contains increment "\ncost ");
+  match S.load_result text with
+  | Error msg -> Alcotest.fail msg
+  | Ok restored ->
+      let rv = C.view restored in
+      let bits = Int64.bits_of_float in
+      let same_floats n f g =
+        List.for_all (fun i -> bits (f i) = bits (g i)) (List.init n Fun.id)
+      in
+      check_bool "budgets bit-identical" true
+        (same_floats m (V.budget v) (V.budget rv));
+      check_bool "costs bit-identical" true
+        (List.for_all
+           (fun s -> same_floats m (V.server_cost v s) (V.server_cost rv s))
+           (List.init (V.num_streams v) Fun.id));
+      check_bool "plan identical" true (plan_text restored = plan_text ctrl);
+      check_bool "re-encodes byte-identically" true (S.save restored = text)
+
 (* ---------- Crash at any boundary: bit-identical recovery ---------- *)
 
 let crash_recovery_prop (seed, cut_frac, policy) =
@@ -468,6 +543,10 @@ let suite =
     qcheck_wal_torn_tail;
     Alcotest.test_case "snapshot checksum detects damage" `Quick
       test_snapshot_checksum_detects_damage;
+    Alcotest.test_case "snapshot peek falls back to the previous generation"
+      `Quick test_snapshot_peek_fallback;
+    Alcotest.test_case "snapshot costs come from the catalog" `Quick
+      test_snapshot_costs_from_catalog;
     Alcotest.test_case "snapshot generation fallback" `Quick
       test_snapshot_generation_fallback;
     Alcotest.test_case "snapshot decoder rejects pslot damage and v2" `Quick
